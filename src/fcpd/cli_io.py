@@ -14,13 +14,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analysis_toolkit import (
+    DEFAULT_ANOMALIES,
     aggregate_sensitivity,
     change_point_offsets,
     generate_cycle,
@@ -28,7 +28,6 @@ from .analysis_toolkit import (
     sensitivity_bounds,
 )
 from .errors import (
-    FcpdError,
     InsufficientDataError,
     InvalidConfigError,
     InvalidDataError,
@@ -146,29 +145,11 @@ def normalize(series) -> np.ndarray:
 class RunConfig:
     """One CLI run: segmentation parameters plus pipeline options."""
 
-    degree: int = 5
-    th_dpu: float | None = None
-    th_sss: int | None = None
-    sss_mode: SlopeSignMode = SlopeSignMode.ALPHA1_SIGN
-    sss_deadband: float = 0.01
-    min_segment_len: int | None = None
-    tail_policy: TailPolicy = TailPolicy.EMIT_FLAGGED
+    segmentation: SegmentationConfig
     normalize: bool = False
     rules_text: str | None = None
     delay: int = 1
     epsilon: float = 1e-9
-    seed: int = 0
-
-    def segmentation_config(self) -> SegmentationConfig:
-        return SegmentationConfig(
-            degree=self.degree,
-            th_dpu=self.th_dpu,
-            th_sss=self.th_sss,
-            sss_mode=self.sss_mode,
-            sss_deadband=self.sss_deadband,
-            min_segment_len=self.min_segment_len,
-            tail_policy=self.tail_policy,
-        )
 
 
 @dataclass(frozen=True)
@@ -205,11 +186,11 @@ def run_query(series, config: RunConfig) -> QueryResult:
     y = validate_series(series)
     if config.normalize:
         y = normalize(y)
-    segmentation = segment_series(y, config.segmentation_config())
+    segmentation = segment_series(y, config.segmentation)
     records = build_records(segmentation, d=config.delay, epsilon=config.epsilon)
     fis = to_fis(parse(config.rules_text))
     key_map = {
-        name: resolve_feature_name(name, config.degree, config.delay)
+        name: resolve_feature_name(name, config.segmentation.degree, config.delay)
         for name in fis.input_variables_referenced()
     }
     scored: list[ScoredSegment] = []
@@ -236,6 +217,9 @@ def run_query(series, config: RunConfig) -> QueryResult:
 # Output helpers
 
 
+SEGMENT_COLUMNS = ["index", "start", "end", "length", "closed_by"]
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -255,7 +239,7 @@ def _segment_fields(segment: Segment, degree: int) -> list[str]:
     return fields
 
 
-def _segment_json(segment: Segment, degree: int) -> dict:
+def _segment_json(segment: Segment) -> dict:
     alpha = None
     if segment.alpha is not None:
         alpha = [float(a) for a in segment.alpha.alpha]
@@ -269,14 +253,27 @@ def _segment_json(segment: Segment, degree: int) -> dict:
     }
 
 
-def _csv_writer(stream):
-    return csv.writer(stream, lineterminator="\n")
-
-
 def _alpha_header(degree: int) -> list[str]:
     return [f"alpha_{k}" for k in range(degree + 1)]
 
 
+def _emit(
+    fmt: str, payload: dict, header: list[str], rows: list[list[str]], notes=()
+) -> None:
+    """Write the payload as JSON, or the header and rows as CSV to stdout.
+
+    In CSV the notes (skipped, unmatched or excluded items) go to stderr, one
+    per line; JSON carries the same items inside its payload.
+    """
+    if fmt == "json":
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    for note in notes:
+        print(note, file=sys.stderr)
 def _write_plot_data(
     plot_dir: str,
     series: np.ndarray,
@@ -317,8 +314,8 @@ def _load_series(args) -> np.ndarray:
     return series
 
 
-def _run_config(args, rules_text: str | None = None) -> RunConfig:
-    return RunConfig(
+def _segmentation_from_args(args) -> SegmentationConfig:
+    return SegmentationConfig(
         degree=args.degree,
         th_dpu=args.th_dpu,
         th_sss=args.th_sss,
@@ -326,11 +323,16 @@ def _run_config(args, rules_text: str | None = None) -> RunConfig:
         sss_deadband=args.sss_deadband,
         min_segment_len=args.min_segment_len,
         tail_policy=TailPolicy(args.tail_policy),
+    )
+
+
+def _run_config(args, rules_text: str) -> RunConfig:
+    return RunConfig(
+        segmentation=_segmentation_from_args(args),
         normalize=args.normalize,
         rules_text=rules_text,
-        delay=getattr(args, "delay", 1),
-        epsilon=getattr(args, "epsilon", 1e-9),
-        seed=_resolve_seed(args),
+        delay=args.delay,
+        epsilon=args.epsilon,
     )
 
 
@@ -342,9 +344,8 @@ def _read_rules(args) -> str:
 
 
 def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("FCPD_SEED")
     if env is None:
         return 0
@@ -356,20 +357,17 @@ def _resolve_seed(args) -> int:
 
 def _cmd_segment(args) -> int:
     series = _load_series(args)
-    config = _run_config(args).segmentation_config()
+    config = _segmentation_from_args(args)
     segmentation = segment_series(series, config)
-    if args.format == "json":
-        payload = {
-            "segments": [_segment_json(s, config.degree) for s in segmentation.segments],
+    _emit(
+        args.format,
+        {
+            "segments": [_segment_json(s) for s in segmentation.segments],
             "change_points": list(segmentation.change_points),
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["index", "start", "end", "length", "closed_by"] + _alpha_header(config.degree))
-        for segment in segmentation.segments:
-            writer.writerow(_segment_fields(segment, config.degree))
+        },
+        SEGMENT_COLUMNS + _alpha_header(config.degree),
+        [_segment_fields(s, config.degree) for s in segmentation.segments],
+    )
     if args.plot_dir:
         _write_plot_data(args.plot_dir, series, segmentation)
     return EXIT_OK
@@ -379,31 +377,25 @@ def _cmd_query(args) -> int:
     config = _run_config(args, rules_text=_read_rules(args))
     series = ingest(args.input)
     result = run_query(series, config)
-    degree = config.degree
-    if args.format == "json":
-        payload = {
+    degree = config.segmentation.degree
+    _emit(
+        args.format,
+        {
             "segments": [
-                {**_segment_json(s.segment, degree), "score": s.score, "degenerate": s.degenerate}
+                {**_segment_json(s.segment), "score": s.score, "degenerate": s.degenerate}
                 for s in result.scored
             ],
             "skipped": [
                 {"index": s.segment_index, "missing": list(s.missing)} for s in result.skipped
             ],
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(
-            ["index", "start", "end", "length", "closed_by"] + _alpha_header(degree) + ["score"]
-        )
-        for scored in result.scored:
-            writer.writerow(_segment_fields(scored.segment, degree) + [_fmt(scored.score)])
-        for skipped in result.skipped:
-            print(
-                f"skipped segment {skipped.segment_index}: missing {', '.join(skipped.missing)}",
-                file=sys.stderr,
-            )
+        },
+        SEGMENT_COLUMNS + _alpha_header(degree) + ["score"],
+        [_segment_fields(s.segment, degree) + [_fmt(s.score)] for s in result.scored],
+        [
+            f"skipped segment {s.segment_index}: missing {', '.join(s.missing)}"
+            for s in result.skipped
+        ],
+    )
     if args.plot_dir:
         series_used = normalize(series) if args.normalize else series
         _write_plot_data(
@@ -417,56 +409,54 @@ def _cmd_query(args) -> int:
 
 def _cmd_cluster(args) -> int:
     series = _load_series(args)
-    config = _run_config(args).segmentation_config()
-    segmentation = segment_series(series, config)
-    result = kmeans_segments(
-        segmentation, k=args.clusters, seed=_resolve_seed(args), feature_pair=(1, 2)
-    )
+    seed = _resolve_seed(args)
+    segmentation = segment_series(series, _segmentation_from_args(args))
+    result = kmeans_segments(segmentation, k=args.clusters, seed=seed, feature_pair=(1, 2))
     segments_by_index = {s.index: s for s in segmentation.segments}
-    if args.format == "json":
-        payload = {
+    members = [
+        (segments_by_index[index], cluster, index in result.representatives)
+        for index, cluster in zip(result.segment_indices, result.assignments)
+    ]
+    notes = []
+    if result.excluded:
+        notes.append(
+            f"excluded segments without coefficients: "
+            f"{', '.join(str(i) for i in result.excluded)}"
+        )
+    _emit(
+        args.format,
+        {
             "segments": [
                 {
-                    "index": index,
-                    "start": segments_by_index[index].start,
-                    "end": segments_by_index[index].end,
+                    "index": s.index,
+                    "start": s.start,
+                    "end": s.end,
                     "cluster": cluster,
-                    "representative": index in result.representatives,
+                    "representative": representative,
                 }
-                for index, cluster in zip(result.segment_indices, result.assignments)
+                for s, cluster, representative in members
             ],
             "centroids": [[float(v) for v in row] for row in result.centroids],
             "representatives": list(result.representatives),
             "excluded": list(result.excluded),
             "inertia": result.inertia,
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(
-            ["index", "start", "end", "length", "alpha_1", "alpha_2", "cluster", "representative"]
-        )
-        for index, cluster in zip(result.segment_indices, result.assignments):
-            segment = segments_by_index[index]
-            writer.writerow(
-                [
-                    str(index),
-                    str(segment.start),
-                    str(segment.end),
-                    str(segment.length),
-                    _fmt(segment.alpha.alpha[1]),
-                    _fmt(segment.alpha.alpha[2]),
-                    str(cluster),
-                    "1" if index in result.representatives else "0",
-                ]
-            )
-        if result.excluded:
-            print(
-                f"excluded segments without coefficients: "
-                f"{', '.join(str(i) for i in result.excluded)}",
-                file=sys.stderr,
-            )
+        },
+        ["index", "start", "end", "length", "alpha_1", "alpha_2", "cluster", "representative"],
+        [
+            [
+                str(s.index),
+                str(s.start),
+                str(s.end),
+                str(s.length),
+                _fmt(s.alpha.alpha[1]),
+                _fmt(s.alpha.alpha[2]),
+                str(cluster),
+                "1" if representative else "0",
+            ]
+            for s, cluster, representative in members
+        ],
+        notes,
+    )
     return EXIT_OK
 
 
@@ -491,15 +481,11 @@ def _cmd_sensitivity(args) -> int:
             raise InvalidDataError(f"directory {args.input} holds no series files")
     else:
         files = [root]
-    if len(files) == 1:
-        results = [_sensitivity_one(files[0], config)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(files))) as pool:
-            results = list(pool.map(lambda p: _sensitivity_one(p, config), files))
-    reports = [report for _, report in results]
-    overall = aggregate_sensitivity(reports)
-    if args.format == "json":
-        payload = {
+    results = [_sensitivity_one(p, config) for p in files]
+    overall = aggregate_sensitivity([report for _, report in results])
+    _emit(
+        args.format,
+        {
             "series": [
                 {
                     "name": name,
@@ -516,30 +502,24 @@ def _cmd_sensitivity(args) -> int:
                 "mean_lower": overall.mean_lower,
                 "mean_segments": overall.segment_count,
             },
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["series", "mean_upper", "mean_lower", "upper_count", "lower_count", "segments"])
-        for name, r in results:
-            writer.writerow(
-                [name, _fmt(r.mean_upper), _fmt(r.mean_lower), str(r.upper_count), str(r.lower_count), str(r.segment_count)]
-            )
-        writer.writerow(
-            ["MEAN", _fmt(overall.mean_upper), _fmt(overall.mean_lower), "", "", str(overall.segment_count)]
-        )
+        },
+        ["series", "mean_upper", "mean_lower", "upper_count", "lower_count", "segments"],
+        [
+            [name, _fmt(r.mean_upper), _fmt(r.mean_lower),
+             str(r.upper_count), str(r.lower_count), str(r.segment_count)]
+            for name, r in results
+        ]
+        + [["MEAN", _fmt(overall.mean_upper), _fmt(overall.mean_lower),
+            "", "", str(overall.segment_count)]],
+    )
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
-    anomalies = () if args.no_anomalies else None
-    if anomalies is None:
-        series = generate_cycle(n=args.length, period=args.period, seed=_resolve_seed(args))
-    else:
-        series = generate_cycle(
-            n=args.length, period=args.period, seed=_resolve_seed(args), anomalies=anomalies
-        )
+    anomalies = () if args.no_anomalies else DEFAULT_ANOMALIES
+    series = generate_cycle(
+        n=args.length, period=args.period, seed=_resolve_seed(args), anomalies=anomalies
+    )
     for value in series:
         sys.stdout.write(f"{_fmt(value)}\n")
     return EXIT_OK
@@ -561,24 +541,22 @@ def _read_indices(path: str) -> list[float]:
 
 def _cmd_offsets(args) -> int:
     result = change_point_offsets(_read_indices(args.reference), _read_indices(args.candidate))
-    if args.format == "json":
-        payload = {
+    _emit(
+        args.format,
+        {
             "pairs": [[r, c] for r, c in result.pairs],
             "offsets": list(result.offsets),
             "unmatched_reference": list(result.unmatched_reference),
             "unmatched_candidate": list(result.unmatched_candidate),
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["reference", "candidate", "offset"])
-        for (ref, cand), offset in zip(result.pairs, result.offsets):
-            writer.writerow([_fmt(ref), _fmt(cand), _fmt(offset)])
-        for ref in result.unmatched_reference:
-            print(f"unmatched reference boundary: {_fmt(ref)}", file=sys.stderr)
-        for cand in result.unmatched_candidate:
-            print(f"unmatched candidate boundary: {_fmt(cand)}", file=sys.stderr)
+        },
+        ["reference", "candidate", "offset"],
+        [
+            [_fmt(ref), _fmt(cand), _fmt(offset)]
+            for (ref, cand), offset in zip(result.pairs, result.offsets)
+        ],
+        [f"unmatched reference boundary: {_fmt(ref)}" for ref in result.unmatched_reference]
+        + [f"unmatched candidate boundary: {_fmt(cand)}" for cand in result.unmatched_candidate],
+    )
     return EXIT_OK
 
 
@@ -628,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_segment.add_argument("input", help="series CSV path, or - for stdin")
     _add_segmentation_flags(p_segment)
     _add_output_flags(p_segment, plot=True)
-    p_segment.add_argument("--seed", type=int, default=None)
     p_segment.set_defaults(func=_cmd_segment)
 
     p_query = sub.add_parser("query", help="segment and score against a rule file")
@@ -640,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_segmentation_flags(p_query)
     _add_output_flags(p_query, plot=True)
-    p_query.add_argument("--seed", type=int, default=None)
     p_query.set_defaults(func=_cmd_query)
 
     p_cluster = sub.add_parser("cluster", help="k-means over segment slope/curvature")
@@ -658,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens.add_argument("--epsilon", type=float, default=1e-9)
     _add_segmentation_flags(p_sens)
     _add_output_flags(p_sens)
-    p_sens.add_argument("--seed", type=int, default=None)
     p_sens.set_defaults(func=_cmd_sensitivity)
 
     p_gen = sub.add_parser("generate", help="emit a seeded synthetic cyclic series")
@@ -681,10 +656,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QueryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RULES
-    except MissingFeatureError as exc:
+    except (QueryError, MissingFeatureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RULES
     except InvalidConfigError as exc:

@@ -150,27 +150,14 @@ def dpu_triggered(predicted: float, observed: float, th_dpu: float) -> bool:
     return abs(predicted - observed) > th_dpu
 
 
-def sss_triggered(
-    state: WindowState,
-    th_sss: int,
-    mode: SlopeSignMode | None = None,
-    deadband: float | None = None,
-) -> bool:
+def sss_triggered(state: WindowState, th_sss: int) -> bool:
     """Slope-sign-switch criterion: window's switch count strictly above th_sss.
 
     Switches are counted by window_grow under the mode/deadband the window was
-    initialized with; passing mode/deadband here asserts that configuration.
+    initialized with.
     """
     if not isinstance(th_sss, int) or isinstance(th_sss, bool) or th_sss < 0:
         raise InvalidConfigError(f"th_sss must be an integer >= 0, got {th_sss!r}")
-    if mode is not None and mode is not state.sss_mode:
-        raise InvalidConfigError(
-            f"window counts {state.sss_mode.name} switches, criterion asked for {mode.name}"
-        )
-    if deadband is not None and deadband != state.sss_deadband:
-        raise InvalidConfigError(
-            f"window uses deadband {state.sss_deadband}, criterion asked for {deadband}"
-        )
     return state.sss_count > th_sss
 
 

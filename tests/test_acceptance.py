@@ -205,10 +205,12 @@ def criterion_6() -> None:
     series = generate_cycle(n=2000, period=200.0, seed=0)
     rules = (QUERY_DIR / "cycle_level.fcq").read_text()
     config = RunConfig(
-        degree=5,
-        th_sss=1,
-        sss_mode=SlopeSignMode.FIRST_DIFF_SIGN,
-        min_segment_len=8,
+        segmentation=SegmentationConfig(
+            degree=5,
+            th_sss=1,
+            sss_mode=SlopeSignMode.FIRST_DIFF_SIGN,
+            min_segment_len=8,
+        ),
         normalize=True,
         rules_text=rules,
     )

@@ -15,6 +15,7 @@ from fcpd import (
     InvalidDataError,
     MissingFeatureError,
     RunConfig,
+    SegmentationConfig,
     SlopeSignMode,
     generate_cycle,
     ingest,
@@ -154,10 +155,9 @@ def test_normalize_rejects_flat_or_tiny_series():
 # Query pipeline
 
 
-def _step_config(**overrides) -> RunConfig:
-    defaults = dict(degree=1, th_dpu=0.5, rules_text=STEP_RULES)
-    defaults.update(overrides)
-    return RunConfig(**defaults)
+def _step_config(degree: int = 1, rules_text: str = STEP_RULES, **options) -> RunConfig:
+    segmentation = SegmentationConfig(degree=degree, th_dpu=0.5)
+    return RunConfig(segmentation=segmentation, rules_text=rules_text, **options)
 
 
 def test_run_query_scores_sorted_by_score_then_index():
@@ -195,7 +195,7 @@ def test_run_query_unknown_feature_fails_fast():
 
 def test_run_query_needs_rules():
     with pytest.raises(InvalidConfigError):
-        run_query(_step_series(), RunConfig(degree=1, th_dpu=0.5))
+        run_query(_step_series(), RunConfig(segmentation=SegmentationConfig(degree=1, th_dpu=0.5)))
 
 
 def test_run_query_flags_degenerate_scores():
@@ -503,6 +503,18 @@ def test_cli_invalid_seed_env_is_a_config_error(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["generate", "--length", "32", "--no-anomalies"])
     assert code == 2
     assert "FCPD_SEED" in err
+
+
+@pytest.mark.parametrize("command", ["segment", "query", "sensitivity"])
+def test_cli_seed_env_is_ignored_where_nothing_is_random(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("FCPD_SEED", "not-a-seed")
+    argv = [command, _write_series(tmp_path, _step_series()), "--degree", "1", "--th-dpu", "0.5"]
+    if command != "segment":
+        argv += ["--rules", _write_rules(tmp_path, STEP_RULES)]
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    assert out
+    assert err == ""
 
 
 def test_cli_offsets_golden(tmp_path, capsys):
