@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -150,21 +152,26 @@ def test_alias_resolution():
     assert resolve_feature_name("var_size_1", degree=5) == "var_size_1"
 
 
+_UNRESOLVABLE = [
+    ("velocity", 5, 1, "unknown feature name 'velocity'"),
+    ("alpha_6", 5, 1, "feature 'alpha_6' needs coefficient 6, fit degree is 5"),
+    ("slope", 0, 1, "feature 'slope' needs coefficient 1, fit degree is 0"),
+    ("curvature", 1, 1, "feature 'curvature' needs coefficient 2, fit degree is 1"),
+    ("var_alpha_6_1", 5, 1, "feature 'var_alpha_6_1' needs coefficient 6, fit degree is 5"),
+    ("var_alpha_1_2", 5, 1, "feature 'var_alpha_1_2' uses delay 2, this run materialized 1"),
+    ("var_size_3", 5, 1, "feature 'var_size_3' uses delay 3, this run materialized 1"),
+    ("alpha_-1", 5, 1, "unknown feature name 'alpha_-1'"),
+    ("var_slope", 0, 2, "feature 'var_slope' needs coefficient 1, fit degree is 0"),
+]
+
+
 @pytest.mark.parametrize(
-    "name, degree, d",
-    [
-        ("velocity", 5, 1),
-        ("alpha_6", 5, 1),
-        ("slope", 0, 1),
-        ("curvature", 1, 1),
-        ("var_alpha_6_1", 5, 1),
-        ("var_alpha_1_2", 5, 1),
-        ("var_size_3", 5, 1),
-        ("alpha_-1", 5, 1),
-    ],
+    "name, degree, d, message",
+    _UNRESOLVABLE,
+    ids=[f"{name}-{degree}-{d}" for name, degree, d, _ in _UNRESOLVABLE],
 )
-def test_unresolvable_names_raise(name, degree, d):
-    with pytest.raises(MissingFeatureError):
+def test_unresolvable_names_raise(name, degree, d, message):
+    with pytest.raises(MissingFeatureError, match=re.escape(message)):
         resolve_feature_name(name, degree=degree, d=d)
 
 

@@ -143,6 +143,110 @@ def test_errors_carry_category_and_position(text, exc_type, line, marker):
     assert f"line {line}, column {expected_col}" in str(err)
 
 
+# Every message the parser can raise, pinned byte for byte: the category,
+# the position and the wording a user sees.
+_MESSAGES = [
+    ("var x [0, 1] {\n  low: tri(0, 0.5)\n}\n", ArityError,
+     "line 2, column 8: tri takes 3 parameters, got 2"),
+    ("var x [0, 1] {\n  low: trap(0, 1, 2, 3, 4)\n}\n", ArityError,
+     "line 2, column 8: trap takes 4 parameters, got 5"),
+    ("var x [1, 0] { low: tri(0, 0.5, 1) }\n", DslValueError,
+     "line 1, column 8: domain needs lo < hi, got [1, 0]"),
+    ("var x [0, 1] { low: tri(1, 0.5, 0) }\n", DslValueError,
+     "line 1, column 21: tri needs a <= b <= c with a < c, got (1.0, 0.5, 0.0)"),
+    ("var x [0, 1] { a: gauss(0, -1) }\n", DslValueError,
+     "line 1, column 19: gauss width must be > 0, got -1.0"),
+    (SCORE_VAR + "var score [0, 1] { low: tri(0, 0.5, 1) }\n", DuplicateNameError,
+     "line 2, column 5: variable 'score' already declared"),
+    ("var x [0, 1] {\n  a: tri(0, 0.5, 1)\n  a: smf(0, 1)\n}\n", DuplicateNameError,
+     "line 3, column 3: set 'a' already declared in this variable"),
+    ("set resolution = 101\nset resolution = 101\n", DuplicateNameError,
+     "line 2, column 5: option 'resolution' already set"),
+    ("set speed = 3\n", UnknownReferenceError, "line 1, column 5: unknown option 'speed'"),
+    ("set defuzz = bisector\n", DslValueError,
+     "line 1, column 14: option 'defuzz' is fixed to 'centroid'"),
+    ("set aggregation = sum\n", DslValueError,
+     "line 1, column 19: option 'aggregation' is fixed to 'max'"),
+    ("set resolution = 10.5\n", DslValueError,
+     "line 1, column 18: resolution must be an integer, got 10.5"),
+    ("set resolution = 1\n", DslValueError, "line 1, column 18: resolution must be >= 2, got 1"),
+    (SCORE_VAR + "IF (ghost is low), THEN (score is low)\n", UnknownReferenceError,
+     "line 2, column 5: variable 'ghost' is not declared"),
+    (SCORE_VAR + "IF (score is huge), THEN (score is low)\n", UnknownReferenceError,
+     "line 2, column 14: variable 'score' has no set 'huge'"),
+    (SCORE_VAR + "IF (score is low), THEN (score is huge)\n", UnknownReferenceError,
+     "line 2, column 35: variable 'score' has no set 'huge'"),
+    (SCORE_VAR + "IF (score is low) THEN (score is low)\n", DslSyntaxError,
+     "line 2, column 19: expected ',', got 'then'"),
+    (SCORE_VAR + "IF (score is low, THEN (score is low)\n", DslSyntaxError,
+     "line 2, column 17: expected ')', got ','"),
+    (SCORE_VAR + "IF score is low, THEN (score is low)\n", DslSyntaxError,
+     "line 2, column 4: expected '(', got 'score'"),
+    ("hello\n", DslSyntaxError, "line 1, column 1: expected 'var', 'IF', or 'set', got 'hello'"),
+    ("var x% [0, 1] { a: smf(0, 1) }\n", DslSyntaxError,
+     "line 1, column 6: unexpected character '%'"),
+    ("var x [0, 1] { a: bell(0, 1) }\n", DslSyntaxError,
+     "line 1, column 19: expected a membership kind (tri, trap, gauss, zmf, smf), got 'bell'"),
+    (SCORE_VAR + "IF (score is low), THEN (score is low) weight 1.5\n", DslValueError,
+     "line 2, column 47: rule weight must be in (0, 1], got 1.5"),
+    (SCORE_VAR + "IF (score is low), THEN (score is low) weight 0\n", DslValueError,
+     "line 2, column 47: rule weight must be in (0, 1], got 0"),
+    (SCORE_VAR + "IF (score is low), (score is low)\n", DslSyntaxError,
+     "line 2, column 20: expected 'then', got '('"),
+    (SCORE_VAR + "IF (score is low), THEN (score is low) weight high\n", DslSyntaxError,
+     "line 2, column 47: expected a rule weight, got 'high'"),
+    ("var x [0, 1] { }\n", DslSyntaxError,
+     "line 1, column 16: expected at least one set declaration, got '}'"),
+    ("set resolution = (\n", DslSyntaxError,
+     "line 1, column 18: expected a number or identifier, got '('"),
+    ("var x [0, 1] {\n  a: tri(0, 0.5, 1)\n", DslSyntaxError,
+     "line 3, column 1: expected a set name, got 'end of input'"),
+    ("var [0, 1] { a: smf(0, 1) }\n", DslSyntaxError,
+     "line 1, column 5: expected a variable name, got '['"),
+    ("var x (0, 1) { a: smf(0, 1) }\n", DslSyntaxError, "line 1, column 7: expected '[', got '('"),
+    ("var x [a, 1] { a: smf(0, 1) }\n", DslSyntaxError,
+     "line 1, column 8: expected the domain lower bound, got 'a'"),
+    ("var x [0 1] { a: smf(0, 1) }\n", DslSyntaxError, "line 1, column 10: expected ',', got '1'"),
+    ("var x [0, b] { a: smf(0, 1) }\n", DslSyntaxError,
+     "line 1, column 11: expected the domain upper bound, got 'b'"),
+    ("var x [0, 1 { a: smf(0, 1) }\n", DslSyntaxError, "line 1, column 13: expected ']', got '{'"),
+    ("var x [0, 1] a: smf(0, 1) }\n", DslSyntaxError, "line 1, column 14: expected '{', got 'a'"),
+    ("var x [0, 1] { 3: smf(0, 1) }\n", DslSyntaxError,
+     "line 1, column 16: expected a set name, got '3'"),
+    ("var x [0, 1] { a smf(0, 1) }\n", DslSyntaxError,
+     "line 1, column 18: expected ':', got 'smf'"),
+    ("var x [0, 1] { a: smf 0, 1) }\n", DslSyntaxError,
+     "line 1, column 23: expected '(', got '0'"),
+    ("var x [0, 1] { a: smf(0, z) }\n", DslSyntaxError,
+     "line 1, column 26: expected a membership parameter, got 'z'"),
+    ("var x [0, 1] { a: smf(0, 1 }\n", DslSyntaxError, "line 1, column 28: expected ')', got '}'"),
+    (SCORE_VAR + "IF (score is low), THEN score is low)\n", DslSyntaxError,
+     "line 2, column 25: expected '(', got 'score'"),
+    (SCORE_VAR + "IF (score is low), THEN (1 is low)\n", DslSyntaxError,
+     "line 2, column 26: expected the output variable, got '1'"),
+    (SCORE_VAR + "IF (score is low), THEN (score low)\n", DslSyntaxError,
+     "line 2, column 32: expected 'is', got 'low'"),
+    (SCORE_VAR + "IF (score is low), THEN (score is 1)\n", DslSyntaxError,
+     "line 2, column 35: expected an output set, got '1'"),
+    (SCORE_VAR + "IF (score is low), THEN (score is low\n", DslSyntaxError,
+     "line 3, column 1: expected ')', got 'end of input'"),
+    (SCORE_VAR + "IF (score is 2), THEN (score is low)\n", DslSyntaxError,
+     "line 2, column 14: expected a set name, got '2'"),
+    (SCORE_VAR + "IF ((score is low), THEN (score is low)\n", DslSyntaxError,
+     "line 2, column 19: expected ')', got ','"),
+    ("set 3 = 4\n", DslSyntaxError, "line 1, column 5: expected an option name, got '3'"),
+    ("set resolution 4\n", DslSyntaxError, "line 1, column 16: expected '=', got '4'"),
+]
+
+
+@pytest.mark.parametrize("text, exc_type, message", _MESSAGES)
+def test_error_messages_are_exact(text, exc_type, message):
+    with pytest.raises(exc_type) as info:
+        parse(text)
+    assert type(info.value) is exc_type
+    assert str(info.value) == message
+
+
 def test_truncated_input_points_past_the_last_line():
     with pytest.raises(DslSyntaxError) as info:
         parse("var x [0, 1] {\n  a: tri(0, 0.5, 1)\n")
