@@ -26,18 +26,20 @@ from typing import Sequence
 from .errors import InvalidConfigError, MissingFeatureError
 from .segmentation import Segment, Segmentation
 
+# Alias -> canonical name; {d} is the run's delay.
 _ALIASES = {
-    "average": ("alpha", 0),
-    "slope": ("alpha", 1),
-    "curvature": ("alpha", 2),
-    "var_average": ("var_alpha", 0),
-    "var_slope": ("var_alpha", 1),
-    "var_curvature": ("var_alpha", 2),
-    "size": ("size", None),
-    "var_size": ("var_size", None),
+    "average": "alpha_0",
+    "slope": "alpha_1",
+    "curvature": "alpha_2",
+    "var_average": "var_alpha_0_{d}",
+    "var_slope": "var_alpha_1_{d}",
+    "var_curvature": "var_alpha_2_{d}",
+    "size": "size",
+    "var_size": "var_size_{d}",
 }
 
-_CANONICAL_RE = re.compile(r"^(alpha_\d+|var_alpha_\d+_\d+|size|var_size_\d+)$")
+# Groups: alpha_k order, var_alpha order and delay, var_size delay.
+_CANONICAL_RE = re.compile(r"^(?:alpha_(\d+)|var_alpha_(\d+)_(\d+)|size|var_size_(\d+))$")
 
 
 @dataclass(frozen=True)
@@ -141,37 +143,19 @@ def resolve_feature_name(name: str, degree: int, d: int = 1) -> str:
     exist for the given fit degree or materialized delay.
     """
     _check_delay(d)
-    key = name
-    if name in _ALIASES:
-        family, k = _ALIASES[name]
-        if family == "alpha":
-            key = f"alpha_{k}"
-        elif family == "var_alpha":
-            key = f"var_alpha_{k}_{d}"
-        elif family == "size":
-            key = "size"
-        else:
-            key = f"var_size_{d}"
-    elif not _CANONICAL_RE.match(name):
+    key = _ALIASES[name].format(d=d) if name in _ALIASES else name
+    match = _CANONICAL_RE.match(key)
+    if match is None:
         raise MissingFeatureError(f"unknown feature name {name!r}")
-    match = re.match(r"^alpha_(\d+)$", key)
-    if match and int(match.group(1)) > degree:
+    alpha_k, var_k, var_d, size_d = match.groups()
+    order = alpha_k or var_k
+    if order is not None and int(order) > degree:
         raise MissingFeatureError(
-            f"feature {name!r} needs coefficient {match.group(1)}, fit degree is {degree}"
+            f"feature {name!r} needs coefficient {order}, fit degree is {degree}"
         )
-    match = re.match(r"^var_alpha_(\d+)_(\d+)$", key)
-    if match:
-        if int(match.group(1)) > degree:
-            raise MissingFeatureError(
-                f"feature {name!r} needs coefficient {match.group(1)}, fit degree is {degree}"
-            )
-        if int(match.group(2)) != d:
-            raise MissingFeatureError(
-                f"feature {name!r} uses delay {match.group(2)}, this run materialized {d}"
-            )
-    match = re.match(r"^var_size_(\d+)$", key)
-    if match and int(match.group(1)) != d:
+    delay = var_d or size_d
+    if delay is not None and int(delay) != d:
         raise MissingFeatureError(
-            f"feature {name!r} uses delay {match.group(1)}, this run materialized {d}"
+            f"feature {name!r} uses delay {delay}, this run materialized {d}"
         )
     return key

@@ -151,27 +151,23 @@ class QueryDocument:
     options: dict[str, float | str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _Ref:
-    variable: str
-    fuzzy_set: str
-    var_token: _Token
-    set_token: _Token
-
-
 class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
         self._tokens = tokens
         self._pos = 0
         self.variables: dict[str, LinguisticVariable] = {}
-        self.var_tokens: dict[str, _Token] = {}
         self.rules: list[Rule] = []
         self.options: dict[str, float | str] = {}
-        self.refs: list[_Ref] = []
+        # (variable token, set token) of every reference, checked at the end
+        self.refs: list[tuple[_Token, _Token]] = []
 
     def _peek(self, offset: int = 0) -> _Token:
         idx = min(self._pos + offset, len(self._tokens) - 1)
         return self._tokens[idx]
+
+    def _at(self, kind: str, text: str | None = None, offset: int = 0) -> bool:
+        tok = self._peek(offset)
+        return tok.kind == kind and (text is None or tok.text == text)
 
     def _advance(self) -> _Token:
         tok = self._tokens[self._pos]
@@ -183,44 +179,23 @@ class _Parser:
         shown = tok.text if tok.kind != "eof" else "end of input"
         raise DslSyntaxError(f"{message}, got {shown!r}", tok.line, tok.col)
 
-    def _expect_punct(self, ch: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != "punct" or tok.text != ch:
-            self._fail(f"expected {ch!r}", tok)
-        return self._advance()
-
-    def _expect_keyword(self, word: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != "keyword" or tok.text != word:
-            self._fail(f"expected {word!r}", tok)
-        return self._advance()
-
-    def _expect_ident(self, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != "ident":
-            self._fail(f"expected {what}", tok)
-        return self._advance()
-
-    def _expect_number(self, what: str = "a number") -> _Token:
-        tok = self._peek()
-        if tok.kind != "number":
-            self._fail(f"expected {what}", tok)
+    def _expect(self, kind: str, text: str | None = None, what: str | None = None) -> _Token:
+        if not self._at(kind, text):
+            self._fail(f"expected {what or repr(text)}", self._peek())
         return self._advance()
 
     # document := (var_decl | rule | option)*
     def parse_document(self) -> QueryDocument:
-        while True:
+        statements = {
+            "var": self._parse_var_decl,
+            "if": self._parse_rule,
+            "set": self._parse_option,
+        }
+        while not self._at("eof"):
             tok = self._peek()
-            if tok.kind == "eof":
-                break
-            if tok.kind == "keyword" and tok.text == "var":
-                self._parse_var_decl()
-            elif tok.kind == "keyword" and tok.text == "if":
-                self._parse_rule()
-            elif tok.kind == "keyword" and tok.text == "set":
-                self._parse_option()
-            else:
+            if not self._at("keyword") or tok.text not in statements:
                 self._fail("expected 'var', 'IF', or 'set'", tok)
+            statements[tok.text]()
         self._validate_references()
         return QueryDocument(
             variables=tuple(self.variables.values()),
@@ -229,59 +204,57 @@ class _Parser:
         )
 
     def _parse_var_decl(self) -> None:
-        self._expect_keyword("var")
-        name_tok = self._expect_ident("a variable name")
+        self._expect("keyword", "var")
+        name_tok = self._expect("ident", what="a variable name")
         if name_tok.text in self.variables:
             raise DuplicateNameError(
                 f"variable {name_tok.text!r} already declared", name_tok.line, name_tok.col
             )
-        self._expect_punct("[")
-        lo_tok = self._expect_number("the domain lower bound")
-        self._expect_punct(",")
-        hi_tok = self._expect_number("the domain upper bound")
-        self._expect_punct("]")
+        self._expect("punct", "[")
+        lo_tok = self._expect("number", what="the domain lower bound")
+        self._expect("punct", ",")
+        hi_tok = self._expect("number", what="the domain upper bound")
+        self._expect("punct", "]")
         if not lo_tok.value < hi_tok.value:
             raise DslValueError(
                 f"domain needs lo < hi, got [{lo_tok.text}, {hi_tok.text}]",
                 lo_tok.line,
                 lo_tok.col,
             )
-        self._expect_punct("{")
+        self._expect("punct", "{")
         sets: dict[str, MembershipFunction] = {}
-        first = self._peek()
-        if first.kind == "punct" and first.text == "}":
-            self._fail("expected at least one set declaration", first)
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
+        if self._at("punct", "}"):
+            self._fail("expected at least one set declaration", self._peek())
+        while not self._at("punct", "}"):
             set_name, mf = self._parse_set_decl(sets)
             sets[set_name] = mf
-        self._expect_punct("}")
+        self._expect("punct", "}")
         self.variables[name_tok.text] = LinguisticVariable(
             name=name_tok.text, lo=lo_tok.value, hi=hi_tok.value, sets=sets
         )
-        self.var_tokens[name_tok.text] = name_tok
 
     def _parse_set_decl(self, existing: dict) -> tuple[str, MembershipFunction]:
-        name_tok = self._expect_ident("a set name")
+        name_tok = self._expect("ident", what="a set name")
         if name_tok.text in existing:
             raise DuplicateNameError(
                 f"set {name_tok.text!r} already declared in this variable",
                 name_tok.line,
                 name_tok.col,
             )
-        self._expect_punct(":")
+        self._expect("punct", ":")
         kind_tok = self._peek()
-        if kind_tok.kind != "ident" or kind_tok.text.lower() not in _MF_ARITY:
+        if not self._at("ident") or kind_tok.text.lower() not in _MF_ARITY:
             self._fail(
                 "expected a membership kind (tri, trap, gauss, zmf, smf)", kind_tok
             )
         self._advance()
         kind = kind_tok.text.lower()
-        self._expect_punct("(")
-        params = [self._expect_number("a membership parameter").value]
-        while self._peek().kind == "punct" and self._peek().text == ",":
+        self._expect("punct", "(")
+        params = [self._expect("number", what="a membership parameter").value]
+        while self._at("punct", ","):
             self._advance()
-            params.append(self._expect_number("a membership parameter").value)
-        self._expect_punct(")")
+            params.append(self._expect("number", what="a membership parameter").value)
+        self._expect("punct", ")")
         if len(params) != _MF_ARITY[kind]:
             raise ArityError(
                 f"{kind} takes {_MF_ARITY[kind]} parameters, got {len(params)}",
@@ -295,19 +268,19 @@ class _Parser:
         return name_tok.text, mf
 
     def _parse_rule(self) -> None:
-        self._expect_keyword("if")
+        self._expect("keyword", "if")
         antecedent = self._parse_or()
-        self._expect_punct(",")
-        self._expect_keyword("then")
-        self._expect_punct("(")
-        var_tok = self._expect_ident("the output variable")
-        self._expect_keyword("is")
-        set_tok = self._expect_ident("an output set")
-        self._expect_punct(")")
+        self._expect("punct", ",")
+        self._expect("keyword", "then")
+        self._expect("punct", "(")
+        var_tok = self._expect("ident", what="the output variable")
+        self._expect("keyword", "is")
+        set_tok = self._expect("ident", what="an output set")
+        self._expect("punct", ")")
         weight = 1.0
-        if self._peek().kind == "keyword" and self._peek().text == "weight":
+        if self._at("keyword", "weight"):
             self._advance()
-            w_tok = self._expect_number("a rule weight")
+            w_tok = self._expect("number", what="a rule weight")
             if not 0.0 < w_tok.value <= 1.0:
                 raise DslValueError(
                     f"rule weight must be in (0, 1], got {w_tok.text}",
@@ -315,7 +288,7 @@ class _Parser:
                     w_tok.col,
                 )
             weight = w_tok.value
-        self.refs.append(_Ref(var_tok.text, set_tok.text, var_tok, set_tok))
+        self.refs.append((var_tok, set_tok))
         self.rules.append(
             Rule(
                 antecedent=antecedent,
@@ -327,41 +300,40 @@ class _Parser:
 
     def _parse_or(self) -> Expr:
         left = self._parse_and()
-        while self._peek().kind == "keyword" and self._peek().text == "or":
+        while self._at("keyword", "or"):
             self._advance()
             left = Or(left, self._parse_and())
         return left
 
     def _parse_and(self) -> Expr:
         left = self._parse_term()
-        while self._peek().kind == "keyword" and self._peek().text == "and":
+        while self._at("keyword", "and"):
             self._advance()
             left = And(left, self._parse_term())
         return left
 
     def _parse_term(self) -> Expr:
-        self._expect_punct("(")
-        if self._peek().kind == "ident" and self._peek(1).kind == "keyword" and self._peek(1).text == "is":
+        self._expect("punct", "(")
+        if self._at("ident") and self._at("keyword", "is", offset=1):
             var_tok = self._advance()
-            self._expect_keyword("is")
-            negated = False
-            if self._peek().kind == "keyword" and self._peek().text == "not":
+            self._expect("keyword", "is")
+            negated = self._at("keyword", "not")
+            if negated:
                 self._advance()
-                negated = True
-            set_tok = self._expect_ident("a set name")
-            self._expect_punct(")")
-            self.refs.append(_Ref(var_tok.text, set_tok.text, var_tok, set_tok))
+            set_tok = self._expect("ident", what="a set name")
+            self._expect("punct", ")")
+            self.refs.append((var_tok, set_tok))
             return Atom(variable=var_tok.text, fuzzy_set=set_tok.text, negated=negated)
         expr = self._parse_or()
-        self._expect_punct(")")
+        self._expect("punct", ")")
         return expr
 
     def _parse_option(self) -> None:
-        self._expect_keyword("set")
-        name_tok = self._expect_ident("an option name")
-        self._expect_punct("=")
+        self._expect("keyword", "set")
+        name_tok = self._expect("ident", what="an option name")
+        self._expect("punct", "=")
         value_tok = self._peek()
-        if value_tok.kind not in ("number", "ident"):
+        if not (self._at("number") or self._at("ident")):
             self._fail("expected a number or identifier", value_tok)
         self._advance()
         name = name_tok.text
@@ -397,19 +369,17 @@ class _Parser:
             )
 
     def _validate_references(self) -> None:
-        for ref in self.refs:
-            var = self.variables.get(ref.variable)
+        for var_tok, set_tok in self.refs:
+            var = self.variables.get(var_tok.text)
             if var is None:
                 raise UnknownReferenceError(
-                    f"variable {ref.variable!r} is not declared",
-                    ref.var_token.line,
-                    ref.var_token.col,
+                    f"variable {var_tok.text!r} is not declared", var_tok.line, var_tok.col
                 )
-            if ref.fuzzy_set not in var.sets:
+            if set_tok.text not in var.sets:
                 raise UnknownReferenceError(
-                    f"variable {ref.variable!r} has no set {ref.fuzzy_set!r}",
-                    ref.set_token.line,
-                    ref.set_token.col,
+                    f"variable {var_tok.text!r} has no set {set_tok.text!r}",
+                    set_tok.line,
+                    set_tok.col,
                 )
 
 
