@@ -183,9 +183,7 @@ def run_query(series, config: RunConfig) -> QueryResult:
     """
     if config.rules_text is None:
         raise InvalidConfigError("run_query needs rules_text")
-    y = validate_series(series)
-    if config.normalize:
-        y = normalize(y)
+    y = normalize(series) if config.normalize else series
     segmentation = segment_series(y, config.segmentation)
     records = build_records(segmentation, d=config.delay, epsilon=config.epsilon)
     fis = to_fis(parse(config.rules_text))

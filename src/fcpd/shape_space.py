@@ -36,7 +36,6 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidConfigError, InvalidDataError
 
 MAX_DEGREE = 10
-MAX_WINDOW_LEN = 100_000
 
 
 def validate_series(values) -> np.ndarray:
@@ -72,21 +71,7 @@ def _recursion_offset(k: int, window_len: int) -> float:
 
 def squared_norm(k: int, window_len: int) -> float:
     """Closed-form squared norm sum_{n=0}^{window_len} p_k(n)^2."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise InvalidConfigError(f"polynomial order must be an integer >= 0, got {k!r}")
-    if window_len < 0:
-        raise InvalidConfigError(f"window_len must be >= 0, got {window_len}")
-    if k > window_len:
-        raise InvalidConfigError(
-            f"order {k} undefined on a grid of {window_len + 1} points"
-        )
-    coeff = float(math.factorial(k)) ** 4 / float(
-        math.factorial(2 * k) * math.factorial(2 * k + 1)
-    )
-    prod = 1.0
-    for i in range(-k, k + 1):
-        prod *= window_len + 1 + i
-    return coeff * prod
+    return float(build_basis(window_len, k).sq_norms[k])
 
 
 @dataclass(frozen=True)
@@ -126,10 +111,6 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
         raise InvalidConfigError(f"window_len must be an integer, got {window_len!r}")
     if window_len < 0:
         raise InvalidConfigError(f"window_len must be >= 0, got {window_len}")
-    if window_len + 1 > MAX_WINDOW_LEN:
-        raise InvalidConfigError(
-            f"window of {window_len + 1} points exceeds the supported cap {MAX_WINDOW_LEN}"
-        )
     if degree > window_len:
         raise InvalidConfigError(
             f"degree {degree} needs at least {degree + 1} points, grid has {window_len + 1}"
@@ -147,7 +128,15 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
         coeffs[k + 1, 1 : k + 2] = coeffs[k, : k + 1]
         coeffs[k + 1, : k + 1] -= (n / 2.0) * coeffs[k, : k + 1]
         coeffs[k + 1, :k] -= b * coeffs[k - 1, :k]
-    norms = np.array([squared_norm(k, n) for k in range(k_max + 1)])
+    norms = np.empty(k_max + 1)
+    for k in range(k_max + 1):
+        coeff = float(math.factorial(k)) ** 4 / float(
+            math.factorial(2 * k) * math.factorial(2 * k + 1)
+        )
+        prod = 1.0
+        for i in range(-k, k + 1):
+            prod *= n + 1 + i
+        norms[k] = coeff * prod
     coeffs.flags.writeable = False
     norms.flags.writeable = False
     return OrthoBasis(window_len=n, degree=k_max, power_coeffs=coeffs, sq_norms=norms)
@@ -313,8 +302,6 @@ def window_grow(state: WindowState, y: float) -> WindowState:
     value = float(y)
     if not math.isfinite(value):
         raise InvalidDataError(f"non-finite sample {y!r}")
-    if state.count >= MAX_WINDOW_LEN:
-        raise InvalidConfigError(f"window exceeds the supported cap {MAX_WINDOW_LEN}")
     x = float(state.count)
     xpow = 1.0
     for j in range(state.degree + 1):

@@ -193,6 +193,16 @@ def test_constant_series_is_one_tail_segment():
     assert seg.length == 30
 
 
+def test_long_quiet_stream_is_one_tail_segment():
+    # Windows have no length cap: a valid stream that never trips a criterion
+    # ends as a single tail, however long it is.
+    series = np.full(100_500, 3.0)
+    result = segment_series(series, SegmentationConfig(degree=0, th_dpu=0.5))
+    (seg,) = result.segments
+    assert (seg.start, seg.end, seg.closed_by) == (0, 100_499, ClosedBy.END_OF_STREAM)
+    assert seg.alpha == fit(series, 0)
+
+
 def test_step_series_closes_at_the_jump():
     y = [0.0] * 20 + [10.0] * 20
     config = SegmentationConfig(degree=2, th_dpu=0.05)
