@@ -92,6 +92,12 @@ CASES: dict[str, list[str]] = {
         "--tail-policy", "drop",
     ],
     "segment_config_error": ["segment", "{work}/steps.csv", "--degree", "2"],
+    # The last window holds 5 samples, too few for a degree-5 fit: blank alpha
+    # cells in the table and no fitted values for it in fit.dat.
+    "segment_unfitted_tail_csv": [
+        "segment", "{work}/cyclic.csv", "--degree", "5", "--th-dpu", "0.3",
+        "--plot-dir", "{work}/plot",
+    ],
     "query_csv": ["query", "{work}/steps.csv", *QUERY, "--plot-dir", "{work}/plot"],
     "query_json": ["query", "{work}/steps.csv", *QUERY, "--format", "json"],
     "query_normalized_csv": [
