@@ -70,7 +70,10 @@ def _recursion_offset(k: int, window_len: int) -> float:
 
 
 def squared_norm(k: int, window_len: int) -> float:
-    """Closed-form squared norm sum_{n=0}^{window_len} p_k(n)^2."""
+    """Closed-form squared norm sum_{n=0}^{window_len} p_k(n)^2.
+
+    ``k`` ranges over 0..min(window_len, MAX_DEGREE), as in build_basis.
+    """
     return float(build_basis(window_len, k).sq_norms[k])
 
 

@@ -78,6 +78,13 @@ def test_squared_norm_goldens(k, n, expected):
     assert squared_norm(k, n) == pytest.approx(expected, rel=1e-12)
 
 
+def test_squared_norm_rejects_orders_outside_the_basis():
+    assert squared_norm(MAX_DEGREE, 50) == build_basis(50, MAX_DEGREE).sq_norms[-1]
+    for k, n in [(-1, 5), (3, 2), (MAX_DEGREE + 1, 50)]:
+        with pytest.raises(InvalidConfigError):
+            squared_norm(k, n)
+
+
 def test_basis_orthogonality_random():
     rng = np.random.default_rng(11)
     for _ in range(100):
