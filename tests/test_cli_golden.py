@@ -98,6 +98,15 @@ CASES: dict[str, list[str]] = {
         "segment", "{work}/cyclic.csv", "--degree", "5", "--th-dpu", "0.3",
         "--plot-dir", "{work}/plot",
     ],
+    "segment_unfitted_tail_json": [
+        "segment", "{work}/cyclic.csv", "--degree", "5", "--th-dpu", "0.3",
+        "--plot-dir", "{work}/plot", "--format", "json",
+    ],
+    # No window closes and the tail is dropped: a header and no rows.
+    "segment_no_segments_csv": [
+        "segment", "{work}/steps.csv", "--degree", "2", "--th-dpu", "1000",
+        "--tail-policy", "drop",
+    ],
     "query_csv": ["query", "{work}/steps.csv", *QUERY, "--plot-dir", "{work}/plot"],
     "query_json": ["query", "{work}/steps.csv", *QUERY, "--format", "json"],
     "query_normalized_csv": [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,21 +106,28 @@ def test_ingest_from_path_and_stdin(tmp_path, monkeypatch):
     assert np.array_equal(ingest("-"), [3.0, 4.0])
 
 
+# (input, test id, full message)
+_MALFORMED = [
+    ("0,1\n2,2\n", "line 2", "line 2: index 2 breaks the unit step after 0"),
+    ("0.5,1\n", "line 1", "line 1: index '0.5' is not an integer"),
+    ("1,2,3\n", "line 1", "line 1: expected 1 or 2 columns, got 3"),
+    ("1\nfoo\n", "line 2", "line 2: value 'foo' is not a number"),
+    ("0,1\n1\n", "line 2", "line 2: expected 2 columns, got 1"),
+    ("1\ninf\n", "line 2", "line 2: value 'inf' is not finite"),
+    ("", "no data rows", "no data rows found"),
+    ("t,y\n", "no data rows", "no data rows found"),
+    ("0,1\nx,2\n", "line 2", "line 2: index 'x' is not a number"),
+    ("0,1\ninf,2\n", "line 2", "line 2: index 'inf' is not finite"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("0,1\n2,2\n", "line 2"),
-        ("0.5,1\n", "line 1"),
-        ("1,2,3\n", "line 1"),
-        ("1\nfoo\n", "line 2"),
-        ("0,1\n1\n", "line 2"),
-        ("1\ninf\n", "line 2"),
-        ("", "no data rows"),
-        ("t,y\n", "no data rows"),
-    ],
+    "text, message",
+    [(text, message) for text, _, message in _MALFORMED],
+    ids=[f"{text}-{case_id}" for text, case_id, _ in _MALFORMED],
 )
-def test_ingest_rejects_malformed_input(text, fragment):
-    with pytest.raises(InvalidDataError, match=fragment):
+def test_ingest_rejects_malformed_input(text, message):
+    with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
         ingest(io.StringIO(text))
 
 
