@@ -33,7 +33,7 @@ from .errors import (
     InvalidDataError,
     MissingFeatureError,
 )
-from .features import build_records, resolve_feature_name
+from .features import _check_epsilon, build_records, resolve_feature_name
 from .fuzzy_inference import infer
 from .query_dsl import QueryError, parse, to_fis
 from .segmentation import (
@@ -65,6 +65,14 @@ def _parse_number(text: str, lineno: int, what: str) -> float:
     return value
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def ingest(source) -> np.ndarray:
     """Read a series from a CSV path, an open file, or '-' (stdin).
 
@@ -77,9 +85,8 @@ def ingest(source) -> np.ndarray:
     elif source == "-":
         text = sys.stdin.read()
     else:
-        path = Path(source)
         try:
-            text = path.read_text()
+            text = Path(source).read_text()
         except OSError as exc:
             raise InvalidDataError(f"cannot read {source}: {exc}") from None
     rows: list[tuple[int, list[str]]] = []
@@ -91,16 +98,8 @@ def ingest(source) -> np.ndarray:
         if len(parts) > 2:
             raise InvalidDataError(f"line {lineno}: expected 1 or 2 columns, got {len(parts)}")
         rows.append((lineno, parts))
-    if rows:
-        first_fields = rows[0][1]
-        numeric = True
-        for field_text in first_fields:
-            try:
-                float(field_text)
-            except ValueError:
-                numeric = False
-        if not numeric:
-            rows = rows[1:]
+    if rows and not all(_is_number(field_text) for field_text in rows[0][1]):
+        rows = rows[1:]
     if not rows:
         raise InvalidDataError("no data rows found")
     width = len(rows[0][1])
@@ -112,15 +111,14 @@ def ingest(source) -> np.ndarray:
                 f"line {lineno}: expected {width} columns, got {len(parts)}"
             )
         if width == 2:
-            t_value = _parse_number(parts[0], lineno, "index")
-            if not t_value.is_integer():
+            t = _parse_number(parts[0], lineno, "index")
+            if not t.is_integer():
                 raise InvalidDataError(f"line {lineno}: index {parts[0]!r} is not an integer")
-            t_int = int(t_value)
-            if t_previous is not None and t_int != t_previous + 1:
+            if t_previous is not None and t != t_previous + 1:
                 raise InvalidDataError(
-                    f"line {lineno}: index {t_int} breaks the unit step after {t_previous}"
+                    f"line {lineno}: index {int(t)} breaks the unit step after {t_previous}"
                 )
-            t_previous = t_int
+            t_previous = int(t)
         values.append(_parse_number(parts[-1], lineno, "value"))
     return validate_series(values)
 
@@ -178,34 +176,28 @@ def run_query(series, config: RunConfig) -> QueryResult:
     """Segment a series, build features, and score every scorable segment.
 
     Segments whose referenced features are missing are skipped and reported,
-    never scored.  Feature names in the rules resolve before any scoring, so
-    an unknown name fails the whole run.
+    never scored.  Rule-file, feature-name, delay and epsilon errors are raised
+    before the series is normalized or segmented.
     """
     if config.rules_text is None:
         raise InvalidConfigError("run_query needs rules_text")
-    y = normalize(series) if config.normalize else series
-    segmentation = segment_series(y, config.segmentation)
-    records = build_records(segmentation, d=config.delay, epsilon=config.epsilon)
     fis = to_fis(parse(config.rules_text))
     key_map = {
         name: resolve_feature_name(name, config.segmentation.degree, config.delay)
         for name in fis.input_variables_referenced()
     }
+    _check_epsilon(config.epsilon)
+    y = normalize(series) if config.normalize else series
+    segmentation = segment_series(y, config.segmentation)
+    records = build_records(segmentation, d=config.delay, epsilon=config.epsilon)
     scored: list[ScoredSegment] = []
     skipped: list[SkippedSegment] = []
     for segment, record in zip(segmentation.segments, records):
-        inputs: dict[str, float] = {}
-        missing: list[str] = []
-        for var_name, key in key_map.items():
-            value = record.values.get(key)
-            if value is None:
-                missing.append(key)
-            else:
-                inputs[var_name] = value
+        missing = tuple(key for key in key_map.values() if record.values.get(key) is None)
         if missing:
-            skipped.append(SkippedSegment(segment.index, tuple(missing)))
+            skipped.append(SkippedSegment(segment.index, missing))
             continue
-        result = infer(fis, inputs)
+        result = infer(fis, {name: record.values[key] for name, key in key_map.items()})
         scored.append(ScoredSegment(segment, result.score, result.degenerate))
     scored.sort(key=lambda s: (-s.score, s.segment.index))
     return QueryResult(tuple(scored), tuple(skipped), segmentation)
@@ -222,41 +214,38 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _segment_fields(segment: Segment, degree: int) -> list[str]:
-    fields = [
-        str(segment.index),
-        str(segment.start),
-        str(segment.end),
-        str(segment.length),
-        segment.closed_by.value,
-    ]
-    if segment.alpha is not None:
-        fields.extend(_fmt(a) for a in segment.alpha.alpha)
-    else:
-        fields.extend("" for _ in range(degree + 1))
-    return fields
-
-
 def _segment_json(segment: Segment) -> dict:
-    alpha = None
-    if segment.alpha is not None:
-        alpha = [float(a) for a in segment.alpha.alpha]
     return {
         "index": segment.index,
         "start": segment.start,
         "end": segment.end,
         "length": segment.length,
         "closed_by": segment.closed_by.value,
-        "alpha": alpha,
+        "alpha": None if segment.alpha is None else [float(a) for a in segment.alpha.alpha],
     }
+
+
+def _segment_row(fields: dict, degree: int) -> list:
+    return [fields[name] for name in SEGMENT_COLUMNS] + (fields["alpha"] or [None] * (degree + 1))
 
 
 def _alpha_header(degree: int) -> list[str]:
     return [f"alpha_{k}" for k in range(degree + 1)]
 
 
+def _cell(value) -> str:
+    """One CSV cell: a float in full precision, a bool as 1/0, None blank."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
 def _emit(
-    fmt: str, payload: dict, header: list[str], rows: list[list[str]], notes=()
+    fmt: str, payload: dict, header: list[str], rows: list[list], notes=()
 ) -> None:
     """Write the payload as JSON, or the header and rows as CSV to stdout.
 
@@ -269,9 +258,11 @@ def _emit(
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_cell(value) for value in row] for row in rows)
     for note in notes:
         print(note, file=sys.stderr)
+
+
 def _write_plot_data(
     plot_dir: str,
     series: np.ndarray,
@@ -357,14 +348,15 @@ def _cmd_segment(args) -> int:
     series = _load_series(args)
     config = _segmentation_from_args(args)
     segmentation = segment_series(series, config)
+    segments = [_segment_json(s) for s in segmentation.segments]
     _emit(
         args.format,
         {
-            "segments": [_segment_json(s) for s in segmentation.segments],
+            "segments": segments,
             "change_points": list(segmentation.change_points),
         },
         SEGMENT_COLUMNS + _alpha_header(config.degree),
-        [_segment_fields(s, config.degree) for s in segmentation.segments],
+        [_segment_row(s, config.degree) for s in segments],
     )
     if args.plot_dir:
         _write_plot_data(args.plot_dir, series, segmentation)
@@ -376,19 +368,20 @@ def _cmd_query(args) -> int:
     series = ingest(args.input)
     result = run_query(series, config)
     degree = config.segmentation.degree
+    segments = [
+        {**_segment_json(s.segment), "score": s.score, "degenerate": s.degenerate}
+        for s in result.scored
+    ]
     _emit(
         args.format,
         {
-            "segments": [
-                {**_segment_json(s.segment), "score": s.score, "degenerate": s.degenerate}
-                for s in result.scored
-            ],
+            "segments": segments,
             "skipped": [
                 {"index": s.segment_index, "missing": list(s.missing)} for s in result.skipped
             ],
         },
         SEGMENT_COLUMNS + _alpha_header(degree) + ["score"],
-        [_segment_fields(s.segment, degree) + [_fmt(s.score)] for s in result.scored],
+        [_segment_row(s, degree) + [s["score"]] for s in segments],
         [
             f"skipped segment {s.segment_index}: missing {', '.join(s.missing)}"
             for s in result.skipped
@@ -410,9 +403,8 @@ def _cmd_cluster(args) -> int:
     seed = _resolve_seed(args)
     segmentation = segment_series(series, _segmentation_from_args(args))
     result = kmeans_segments(segmentation, k=args.clusters, seed=seed, feature_pair=(1, 2))
-    segments_by_index = {s.index: s for s in segmentation.segments}
     members = [
-        (segments_by_index[index], cluster, index in result.representatives)
+        (segmentation.segments[index], cluster, index in result.representatives)
         for index, cluster in zip(result.segment_indices, result.assignments)
     ]
     notes = []
@@ -441,16 +433,8 @@ def _cmd_cluster(args) -> int:
         },
         ["index", "start", "end", "length", "alpha_1", "alpha_2", "cluster", "representative"],
         [
-            [
-                str(s.index),
-                str(s.start),
-                str(s.end),
-                str(s.length),
-                _fmt(s.alpha.alpha[1]),
-                _fmt(s.alpha.alpha[2]),
-                str(cluster),
-                "1" if representative else "0",
-            ]
+            [s.index, s.start, s.end, s.length, s.alpha.alpha[1], s.alpha.alpha[2],
+             cluster, representative]
             for s, cluster, representative in members
         ],
         notes,
@@ -481,20 +465,22 @@ def _cmd_sensitivity(args) -> int:
         files = [root]
     results = [_sensitivity_one(p, config) for p in files]
     overall = aggregate_sensitivity([report for _, report in results])
+    # Keys in CSV column order: each dict is also the file's CSV row.
+    series = [
+        {
+            "name": name,
+            "mean_upper": r.mean_upper,
+            "mean_lower": r.mean_lower,
+            "upper_count": r.upper_count,
+            "lower_count": r.lower_count,
+            "segments": r.segment_count,
+        }
+        for name, r in results
+    ]
     _emit(
         args.format,
         {
-            "series": [
-                {
-                    "name": name,
-                    "mean_upper": r.mean_upper,
-                    "mean_lower": r.mean_lower,
-                    "upper_count": r.upper_count,
-                    "lower_count": r.lower_count,
-                    "segments": r.segment_count,
-                }
-                for name, r in results
-            ],
+            "series": series,
             "aggregate": {
                 "mean_upper": overall.mean_upper,
                 "mean_lower": overall.mean_lower,
@@ -502,13 +488,8 @@ def _cmd_sensitivity(args) -> int:
             },
         },
         ["series", "mean_upper", "mean_lower", "upper_count", "lower_count", "segments"],
-        [
-            [name, _fmt(r.mean_upper), _fmt(r.mean_lower),
-             str(r.upper_count), str(r.lower_count), str(r.segment_count)]
-            for name, r in results
-        ]
-        + [["MEAN", _fmt(overall.mean_upper), _fmt(overall.mean_lower),
-            "", "", str(overall.segment_count)]],
+        [list(row.values()) for row in series]
+        + [["MEAN", overall.mean_upper, overall.mean_lower, None, None, overall.segment_count]],
     )
     return EXIT_OK
 
@@ -548,10 +529,7 @@ def _cmd_offsets(args) -> int:
             "unmatched_candidate": list(result.unmatched_candidate),
         },
         ["reference", "candidate", "offset"],
-        [
-            [_fmt(ref), _fmt(cand), _fmt(offset)]
-            for (ref, cand), offset in zip(result.pairs, result.offsets)
-        ],
+        [[ref, cand, offset] for (ref, cand), offset in zip(result.pairs, result.offsets)],
         [f"unmatched reference boundary: {_fmt(ref)}" for ref in result.unmatched_reference]
         + [f"unmatched candidate boundary: {_fmt(cand)}" for cand in result.unmatched_candidate],
     )
@@ -587,6 +565,14 @@ def _add_segmentation_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rules", required=True, help="rule file (.fcq)")
+    parser.add_argument("--delay", type=int, default=1, help="variation delay d (default 1)")
+    parser.add_argument(
+        "--epsilon", type=float, default=1e-9, help="variation denominator guard"
+    )
+
+
 def _add_output_flags(parser: argparse.ArgumentParser, plot: bool = False) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     if plot:
@@ -608,11 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_query = sub.add_parser("query", help="segment and score against a rule file")
     p_query.add_argument("input", help="series CSV path, or - for stdin")
-    p_query.add_argument("--rules", required=True, help="rule file (.fcq)")
-    p_query.add_argument("--delay", type=int, default=1, help="variation delay d (default 1)")
-    p_query.add_argument(
-        "--epsilon", type=float, default=1e-9, help="variation denominator guard"
-    )
+    _add_rule_flags(p_query)
     _add_segmentation_flags(p_query)
     _add_output_flags(p_query, plot=True)
     p_query.set_defaults(func=_cmd_query)
@@ -627,9 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sens = sub.add_parser("sensitivity", help="score bounds for a series file or directory")
     p_sens.add_argument("input", help="series CSV path or a directory of series files")
-    p_sens.add_argument("--rules", required=True, help="rule file (.fcq)")
-    p_sens.add_argument("--delay", type=int, default=1)
-    p_sens.add_argument("--epsilon", type=float, default=1e-9)
+    _add_rule_flags(p_sens)
     _add_segmentation_flags(p_sens)
     _add_output_flags(p_sens)
     p_sens.set_defaults(func=_cmd_sensitivity)

@@ -15,6 +15,7 @@ from fcpd import (
     InvalidConfigError,
     InvalidDataError,
     MissingFeatureError,
+    QueryError,
     RunConfig,
     SegmentationConfig,
     SlopeSignMode,
@@ -195,10 +196,20 @@ def test_run_query_skips_variation_starved_segments():
     assert skip.missing == ("var_alpha_0_1",)
 
 
-def test_run_query_unknown_feature_fails_fast():
+def test_run_query_unknown_feature_fails_fast(monkeypatch):
+    def no_segmenting(*args, **kwargs):
+        pytest.fail("run_query segmented a series it should have rejected")
+
+    monkeypatch.setattr("fcpd.cli_io.segment_series", no_segmenting)
     rules = STEP_RULES.replace("average", "velocity")
     with pytest.raises(MissingFeatureError, match="velocity"):
         run_query(_step_series(), _step_config(rules_text=rules))
+    with pytest.raises(QueryError, match="line 1"):
+        run_query(_step_series(), _step_config(rules_text="IF (score is, THEN\n"))
+    with pytest.raises(InvalidConfigError, match="delay must be an integer >= 1, got 0"):
+        run_query(_step_series(), _step_config(delay=0))
+    with pytest.raises(InvalidConfigError, match="epsilon must be > 0, got 0.0"):
+        run_query(_step_series(), _step_config(epsilon=0.0))
 
 
 def test_run_query_needs_rules():
