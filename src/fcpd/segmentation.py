@@ -20,13 +20,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import InsufficientDataError, InvalidConfigError, InvalidDataError
+from .errors import InsufficientDataError, InvalidConfigError
 from .shape_space import (
     MAX_DEGREE,
     ShapeVector,
     SlopeSignMode,
     WindowState,
-    evaluate,
     validate_series,
     window_grow,
     window_init,
@@ -139,28 +138,6 @@ class Segmentation:
         return tuple(s.end for s in self.segments[:-1])
 
 
-def dpu_triggered(predicted: float, observed: float, th_dpu: float) -> bool:
-    """Deviation criterion: |predicted - observed| strictly above th_dpu."""
-    if not math.isfinite(th_dpu) or th_dpu <= 0:
-        raise InvalidConfigError(f"th_dpu must be finite and > 0, got {th_dpu}")
-    if not (math.isfinite(predicted) and math.isfinite(observed)):
-        raise InvalidDataError(
-            f"non-finite inputs to dpu_triggered: {predicted!r}, {observed!r}"
-        )
-    return abs(predicted - observed) > th_dpu
-
-
-def sss_triggered(state: WindowState, th_sss: int) -> bool:
-    """Slope-sign-switch criterion: window's switch count strictly above th_sss.
-
-    Switches are counted by window_grow under the mode/deadband the window was
-    initialized with.
-    """
-    if not isinstance(th_sss, int) or isinstance(th_sss, bool) or th_sss < 0:
-        raise InvalidConfigError(f"th_sss must be an integer >= 0, got {th_sss!r}")
-    return state.sss_count > th_sss
-
-
 # A trigger override receives (state, global_index) after each absorbed sample
 # and returns a ClosedBy reason to force closure, or None.  Used to stub the
 # standard criteria in tests; bypasses the minimum-length guard.
@@ -201,31 +178,21 @@ class SegmentStream:
         cfg = self._config
         state = self._state
         window_grow(state, y)
-        end = state.start_index + state.count - 1
 
         reason: ClosedBy | None = None
         if self._trigger is not None:
-            reason = self._trigger(state, end)
+            reason = self._trigger(state, state.start_index + state.count - 1)
         elif state.count >= cfg.effective_min_len:
-            if cfg.th_dpu is not None and state.current_alpha is not None:
-                predicted = evaluate(state.current_alpha, state.current_basis, state.count - 1)
-                if dpu_triggered(predicted, float(y), cfg.th_dpu):
-                    reason = ClosedBy.DPU
-            if reason is None and cfg.th_sss is not None:
-                if sss_triggered(state, cfg.th_sss):
-                    reason = ClosedBy.SSS
+            # The minimum length is at least degree + 1, so deviation is set.
+            if cfg.th_dpu is not None and state.deviation > cfg.th_dpu:
+                reason = ClosedBy.DPU
+            elif cfg.th_sss is not None and state.sss_count > cfg.th_sss:
+                reason = ClosedBy.SSS
 
         if reason is None:
             return None
-        segment = Segment(
-            index=len(self._segments),
-            start=state.start_index,
-            end=end,
-            alpha=state.current_alpha,
-            closed_by=reason,
-        )
-        self._segments.append(segment)
-        self._state = window_init(end + 1, cfg.degree, cfg.sss_mode, cfg.sss_deadband)
+        segment = self._close(reason)
+        self._state = window_init(segment.end + 1, cfg.degree, cfg.sss_mode, cfg.sss_deadband)
         return segment
 
     def finish(self) -> Segment | None:
@@ -233,18 +200,25 @@ class SegmentStream:
         if self._finished:
             return None
         self._finished = True
-        state = self._state
-        if state.count == 0 or self._config.tail_policy is TailPolicy.DROP:
+        if self._state.count == 0 or self._config.tail_policy is TailPolicy.DROP:
             return None
-        tail = Segment(
+        return self._close(ClosedBy.END_OF_STREAM)
+
+    def _close(self, reason: ClosedBy) -> Segment:
+        """Record the current window as the next segment, closed for ``reason``."""
+        state = self._state
+        alpha = None
+        if state.alpha is not None:
+            alpha = ShapeVector(alpha=state.alpha, window_len=state.count - 1, degree=state.degree)
+        segment = Segment(
             index=len(self._segments),
             start=state.start_index,
             end=state.start_index + state.count - 1,
-            alpha=state.current_alpha,
-            closed_by=ClosedBy.END_OF_STREAM,
+            alpha=alpha,
+            closed_by=reason,
         )
-        self._segments.append(tail)
-        return tail
+        self._segments.append(segment)
+        return segment
 
     def result(self) -> Segmentation:
         """The segmentation so far; finishes the stream if still open."""

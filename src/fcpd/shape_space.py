@@ -97,14 +97,19 @@ class OrthoBasis:
         """
         xs = np.asarray(x, dtype=float)
         out = np.empty((self.degree + 1,) + xs.shape)
-        out[0] = 1.0
-        if self.degree >= 1:
-            shifted = xs - self.window_len / 2.0
-            out[1] = shifted
-            for k in range(1, self.degree):
-                b = _recursion_offset(k, self.window_len)
-                out[k + 1] = shifted * out[k] - b * out[k - 1]
+        for k, values in enumerate(_recurse(xs, self.window_len, self.degree)):
+            out[k] = values
         return out
+
+
+def _recurse(x, window_len: int, degree: int):
+    """Yield p_0(x), ..., p_degree(x) on the grid 0..window_len, by the recursion."""
+    shifted = x - window_len / 2.0
+    prev, cur = 0.0, 1.0
+    yield cur
+    for k in range(degree):  # b_0 is 0, so p_1 = x - N/2
+        prev, cur = cur, shifted * cur - _recursion_offset(k, window_len) * prev
+        yield cur
 
 
 def build_basis(window_len: int, degree: int) -> OrthoBasis:
@@ -245,10 +250,10 @@ class WindowState:
     """Single-owner mutable state of one growing window.
 
     moments[j] tracks M_j = sum over absorbed samples of y * x^j (local x
-    starting at 0), maintained with Kahan compensation.  current_alpha and
-    current_basis are valid once count >= degree + 1.  prev_slope_sign is the
-    last non-zero slope sign observed; values inside the deadband neither
-    match nor break it.
+    starting at 0), maintained with Kahan compensation.  alpha and deviation,
+    |fit - y| at the newest sample, are set once count >= degree + 1.
+    prev_slope_sign is the last non-zero slope sign observed; values inside
+    the deadband neither match nor break it.
     """
 
     start_index: int
@@ -258,8 +263,8 @@ class WindowState:
     count: int = 0
     moments: list[float] = field(default_factory=list)
     last_value: float | None = None
-    current_alpha: ShapeVector | None = None
-    current_basis: OrthoBasis | None = None
+    alpha: np.ndarray | None = None
+    deviation: float | None = None
     sss_count: int = 0
     prev_slope_sign: int = 0
     _compensation: list[float] = field(default_factory=list, repr=False)
@@ -297,10 +302,11 @@ def _observe_slope(state: WindowState, slope: float) -> None:
 
 
 def window_grow(state: WindowState, y: float) -> WindowState:
-    """Absorb one sample, refreshing moments, alpha, and slope-sign counters.
+    """Absorb one sample, refreshing moments, alpha, deviation and slope-sign counters.
 
     Per-point cost is O(degree^2) and does not depend on how many samples the
-    window already holds.
+    window already holds.  Raises InvalidDataError when the fit or its
+    deviation overflows.
     """
     value = float(y)
     if not math.isfinite(value):
@@ -320,19 +326,27 @@ def window_grow(state: WindowState, y: float) -> WindowState:
         _observe_slope(state, value - state.last_value)
 
     if state.count >= state.degree + 1:
-        basis = build_basis(state.count - 1, state.degree)
-        alpha = np.empty(state.degree + 1)
-        for k in range(state.degree + 1):
-            acc = math.fsum(
-                basis.power_coeffs[k, j] * state.moments[j] for j in range(k + 1)
-            )
-            alpha[k] = acc / basis.sq_norms[k]
-        state.current_alpha = ShapeVector(
-            alpha=alpha, window_len=state.count - 1, degree=state.degree
-        )
-        state.current_basis = basis
+        n = state.count - 1
+        basis = build_basis(n, state.degree)
+        # Python floats give numpy's products without its overflow warnings.
+        try:
+            alpha = [
+                math.fsum(c * m for c, m in zip(row[: k + 1], state.moments)) / norm
+                for k, (row, norm) in enumerate(
+                    zip(basis.power_coeffs.tolist(), basis.sq_norms.tolist())
+                )
+            ]
+            fitted = math.fsum(a * p for a, p in zip(alpha, _recurse(float(n), n, state.degree)))
+        except (ValueError, OverflowError):  # fsum met inf - inf or overflowed
+            fitted = math.nan
+        # A non-finite coefficient makes its product with p_k(n) non-finite too.
+        deviation = abs(fitted - value)
+        if not math.isfinite(deviation):
+            raise InvalidDataError(f"window fit overflows at sample {state.start_index + n}")
+        state.alpha = np.array(alpha)
+        state.deviation = deviation
         if state.sss_mode is SlopeSignMode.ALPHA1_SIGN and state.degree >= 1:
-            _observe_slope(state, float(alpha[1]))
+            _observe_slope(state, alpha[1])
 
     state.last_value = value
     return state

@@ -131,7 +131,7 @@ def criterion_3() -> None:
             if state.count >= k + 1:
                 batch = fit(y[: i + 1], degree=k)
                 scale = max(1.0, float(np.abs(batch.alpha).max()))
-                gap = float(np.abs(state.current_alpha.alpha - batch.alpha).max())
+                gap = float(np.abs(state.alpha - batch.alpha).max())
                 assert gap <= 1e-6 * scale, (
                     f"incremental/batch gap {gap:.2e} at step {i} (len {m}, K {k})"
                 )

@@ -78,6 +78,8 @@ def write_inputs(work: Path) -> None:
     (work / "reference.txt").write_text("10\n25\n40\n71\n")
     (work / "candidate.txt").write_text("12\n24\n43.5\n90\n55\n")
     (work / "sparse.txt").write_text("26\n68\n")
+    # Finite samples whose window moments overflow.
+    _write_series(work / "huge.csv", [1e307] * 40)
 
 
 SEGMENT = ["--degree", "2", "--th-dpu", "1.0"]
@@ -92,6 +94,7 @@ CASES: dict[str, list[str]] = {
         "--tail-policy", "drop",
     ],
     "segment_config_error": ["segment", "{work}/steps.csv", "--degree", "2"],
+    "segment_overflow_error": ["segment", "{work}/huge.csv", "--degree", "1", "--th-dpu", "0.5"],
     # The last window holds 5 samples, too few for a degree-5 fit: blank alpha
     # cells in the table and no fitted values for it in fit.dat.
     "segment_unfitted_tail_csv": [

@@ -254,7 +254,23 @@ def test_window_grow_matches_batch_fit():
             if state.count >= k + 1:
                 batch = fit(y[: i + 1], degree=k)
                 scale = np.maximum(np.abs(batch.alpha), 1.0)
-                assert np.abs(state.current_alpha.alpha - batch.alpha).max() <= 1e-6 * scale.max()
+                assert np.abs(state.alpha - batch.alpha).max() <= 1e-6 * scale.max()
+
+
+@pytest.mark.parametrize("k", range(MAX_DEGREE + 1))
+def test_window_grow_deviation_matches_batch_fit(k):
+    rng = np.random.default_rng(41 + k)
+    y = rng.normal(scale=2.0, size=150)
+    state = window_init(0, degree=k)
+    for i, value in enumerate(y):
+        window_grow(state, float(value))
+        if state.count < k + 1:
+            assert state.deviation is None
+            continue
+        batch = fit(y[: i + 1], degree=k)
+        want = abs(evaluate(batch, build_basis(i, k), float(i)) - value)
+        scale = max(1.0, float(np.abs(batch.alpha).max()))
+        assert abs(state.deviation - want) <= 1e-6 * scale
 
 
 def test_window_grow_moments_match_direct_sums():
@@ -271,12 +287,12 @@ def test_window_grow_moments_match_direct_sums():
 
 def test_window_grow_tracks_count_and_start():
     state = window_init(40, degree=2)
-    assert state.count == 0 and state.current_alpha is None
+    assert state.count == 0 and state.alpha is None
     window_grow(state, 1.0)
     window_grow(state, 2.0)
-    assert state.count == 2 and state.current_alpha is None  # below K+1
+    assert state.count == 2 and state.alpha is None  # below K+1
     window_grow(state, 3.0)
-    assert state.current_alpha is not None
+    assert state.alpha is not None
     assert state.start_index == 40
 
 
