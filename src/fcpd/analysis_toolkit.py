@@ -94,11 +94,15 @@ def kmeans_points(
         raise InvalidConfigError(f"k={k} exceeds the {pts.shape[0]} available points")
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
-    for _ in range(max(1, n_init)):
-        centers = _kmeans_plus_plus(pts, k, rng)
-        labels, centers, inertia, history = _lloyd(pts, centers.copy(), max_iter)
-        if best is None or inertia < best[2]:
-            best = (labels, centers, inertia, history)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max(1, n_init)):
+                centers = _kmeans_plus_plus(pts, k, rng)
+                labels, centers, inertia, history = _lloyd(pts, centers.copy(), max_iter)
+                if best is None or inertia < best[2]:
+                    best = (labels, centers, inertia, history)
+    except FloatingPointError:
+        raise InvalidDataError("points too large to cluster: squared distances overflow") from None
     labels, centers, inertia, history = best
     return labels, centers, inertia, tuple(history)
 

@@ -128,8 +128,11 @@ def normalize(series) -> np.ndarray:
     y = validate_series(series)
     if y.size < 2:
         raise InsufficientDataError("normalization needs at least 2 samples")
-    mean = float(y.mean())
-    variance = float(((y - mean) ** 2).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(y.mean())
+        variance = float(((y - mean) ** 2).mean())
+    if not math.isfinite(variance):  # an overflowed mean makes the variance NaN too
+        raise InvalidDataError("cannot normalize: the series' mean or variance overflows")
     if variance == 0.0:
         raise InvalidDataError("cannot normalize a zero-variance series")
     return (y - mean) / math.sqrt(variance)

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,10 +65,11 @@ def _check_degree(degree: int) -> None:
         raise InvalidConfigError(f"degree {degree} exceeds the supported cap {MAX_DEGREE}")
 
 
-def _recursion_offset(k: int, window_len: int) -> float:
-    """b_k in the three-term recursion for the grid 0..window_len."""
-    m = window_len + 1
-    return k * k * (m * m - k * k) / (4.0 * (4 * k * k - 1))
+# (k!)^4 / ((2k)! (2k+1)!), the constant factor of ||p_k||^2.
+_NORM_FACTORS = tuple(
+    float(math.factorial(k)) ** 4 / float(math.factorial(2 * k) * math.factorial(2 * k + 1))
+    for k in range(MAX_DEGREE + 1)
+)
 
 
 def squared_norm(k: int, window_len: int) -> float:
@@ -74,21 +77,39 @@ def squared_norm(k: int, window_len: int) -> float:
 
     ``k`` ranges over 0..min(window_len, MAX_DEGREE), as in build_basis.
     """
-    return float(build_basis(window_len, k).sq_norms[k])
+    return build_basis(window_len, k).norms[k]
 
 
 @dataclass(frozen=True)
 class OrthoBasis:
     """Monic discrete Chebyshev basis on the grid 0..window_len, orders 0..degree.
 
-    power_coeffs[k, j] is the coefficient of x^j in p_k (lower triangular,
-    diagonal exactly 1).  sq_norms[k] is the closed-form squared norm.
+    Plain Python floats: rows[k][j] is the coefficient of x^j in p_k
+    (j = 0..k, rows[k][k] exactly 1), norms[k] the closed-form squared norm
+    and offsets[k] the recursion's b_k (k = 0..degree-1).  power_coeffs (the
+    rows as a lower-triangular matrix) and sq_norms are read-only arrays
+    built on first access.
     """
 
     window_len: int
     degree: int
-    power_coeffs: np.ndarray
-    sq_norms: np.ndarray
+    rows: list[list[float]]
+    norms: list[float]
+    offsets: list[float]
+
+    @cached_property
+    def power_coeffs(self) -> np.ndarray:
+        coeffs = np.zeros((self.degree + 1, self.degree + 1))
+        for k, row in enumerate(self.rows):
+            coeffs[k, : k + 1] = row
+        coeffs.flags.writeable = False
+        return coeffs
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        norms = np.array(self.norms)
+        norms.flags.writeable = False
+        return norms
 
     def poly_values(self, x) -> np.ndarray:
         """Evaluate all basis polynomials at ``x`` via the stable recursion.
@@ -97,18 +118,18 @@ class OrthoBasis:
         """
         xs = np.asarray(x, dtype=float)
         out = np.empty((self.degree + 1,) + xs.shape)
-        for k, values in enumerate(_recurse(xs, self.window_len, self.degree)):
+        for k, values in enumerate(_recurse(xs, self.window_len, self.offsets)):
             out[k] = values
         return out
 
 
-def _recurse(x, window_len: int, degree: int):
-    """Yield p_0(x), ..., p_degree(x) on the grid 0..window_len, by the recursion."""
+def _recurse(x, window_len: int, offsets):
+    """Yield p_0(x), ..., p_K(x) on the grid 0..window_len, K = len(offsets)."""
     shifted = x - window_len / 2.0
     prev, cur = 0.0, 1.0
     yield cur
-    for k in range(degree):  # b_0 is 0, so p_1 = x - N/2
-        prev, cur = cur, shifted * cur - _recursion_offset(k, window_len) * prev
+    for b in offsets:
+        prev, cur = cur, shifted * cur - b * prev
         yield cur
 
 
@@ -125,29 +146,26 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
         )
     n = int(window_len)
     k_max = int(degree)
-    coeffs = np.zeros((k_max + 1, k_max + 1))
-    coeffs[0, 0] = 1.0
-    if k_max >= 1:
-        coeffs[1, 0] = -n / 2.0
-        coeffs[1, 1] = 1.0
-    for k in range(1, k_max):
-        b = _recursion_offset(k, n)
-        # p_{k+1} = x*p_k - (N/2)*p_k - b_k*p_{k-1}, in power-coefficient form
-        coeffs[k + 1, 1 : k + 2] = coeffs[k, : k + 1]
-        coeffs[k + 1, : k + 1] -= (n / 2.0) * coeffs[k, : k + 1]
-        coeffs[k + 1, :k] -= b * coeffs[k - 1, :k]
-    norms = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        coeff = float(math.factorial(k)) ** 4 / float(
-            math.factorial(2 * k) * math.factorial(2 * k + 1)
-        )
-        prod = 1.0
-        for i in range(-k, k + 1):
-            prod *= n + 1 + i
-        norms[k] = coeff * prod
-    coeffs.flags.writeable = False
-    norms.flags.writeable = False
-    return OrthoBasis(window_len=n, degree=k_max, power_coeffs=coeffs, sq_norms=norms)
+    half = n / 2.0
+    mm = (n + 1) * (n + 1)
+    # b_0..b_{K-1} of the three-term recursion.
+    offsets = [k * k * (mm - k * k) / (4.0 * (4 * k * k - 1)) for k in range(k_max)]
+    # p_{k+1} = x*p_k - (N/2)*p_k - b_k*p_{k-1}, in power-coefficient form.
+    prev, cur = [], [1.0]
+    rows = [cur]
+    for b in offsets:
+        new = [low - half * c for low, c in zip([0.0, *cur], cur)]
+        for j, p in enumerate(prev):
+            new[j] -= b * p
+        new.append(1.0)
+        prev, cur = cur, new
+        rows.append(cur)
+    # Each product runs left to right from n+1-k, the order its bits depend on.
+    norms = [
+        factor * math.prod(range(n + 1 - k, n + 2 + k), start=1.0)
+        for k, factor in enumerate(_NORM_FACTORS[: k_max + 1])
+    ]
+    return OrthoBasis(window_len=n, degree=k_max, rows=rows, norms=norms, offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -331,12 +349,10 @@ def window_grow(state: WindowState, y: float) -> WindowState:
         # Python floats give numpy's products without its overflow warnings.
         try:
             alpha = [
-                math.fsum(c * m for c, m in zip(row[: k + 1], state.moments)) / norm
-                for k, (row, norm) in enumerate(
-                    zip(basis.power_coeffs.tolist(), basis.sq_norms.tolist())
-                )
+                math.fsum(map(operator.mul, row, state.moments)) / norm
+                for row, norm in zip(basis.rows, basis.norms)
             ]
-            fitted = math.fsum(a * p for a, p in zip(alpha, _recurse(float(n), n, state.degree)))
+            fitted = math.fsum(map(operator.mul, alpha, _recurse(float(n), n, basis.offsets)))
         except (ValueError, OverflowError):  # fsum met inf - inf or overflowed
             fitted = math.nan
         # A non-finite coefficient makes its product with p_k(n) non-finite too.

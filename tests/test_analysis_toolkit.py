@@ -114,6 +114,16 @@ def test_kmeans_input_validation():
         kmeans_points([[0.0, float("nan")]], 1, seed=0)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]], [[1.7e308, 1.7e308]] * 3],
+    ids=["distances", "centroid-sums"],
+)
+def test_kmeans_overflow_is_a_data_error(points):
+    with pytest.raises(InvalidDataError, match="squared distances overflow"):
+        kmeans_points(points, 2, seed=0)
+
+
 def _coeff_segment(index: int, slope: float, curvature: float) -> Segment:
     vec = ShapeVector(alpha=np.array([0.0, slope, curvature]), window_len=9, degree=2)
     return Segment(index=index, start=10 * index, end=10 * index + 9, alpha=vec,

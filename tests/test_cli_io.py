@@ -160,6 +160,18 @@ def test_normalize_rejects_flat_or_tiny_series():
         normalize([5.0])
 
 
+# Finite samples whose mean or variance overflows.
+HUGE_ALTERNATING = [1e200, -1e200] * 20
+HUGE_LEVEL = [1.7e308] * 20
+NORMALIZE_OVERFLOW = "cannot normalize: the series' mean or variance overflows"
+
+
+@pytest.mark.parametrize("series", [HUGE_ALTERNATING, HUGE_LEVEL], ids=["variance", "mean"])
+def test_normalize_rejects_overflowing_moments(series):
+    with pytest.raises(InvalidDataError, match=f"^{NORMALIZE_OVERFLOW}$"):
+        normalize(series)
+
+
 # ---------------------------------------------------------------------------
 # Query pipeline
 
@@ -407,6 +419,17 @@ def test_cli_normalize_flat_series_is_a_data_error(tmp_path, capsys):
     assert "zero-variance" in err
 
 
+@pytest.mark.parametrize("command", ["segment", "query"])
+def test_cli_normalize_overflow_is_a_data_error(tmp_path, capsys, command):
+    series_path = _write_series(tmp_path, HUGE_ALTERNATING)
+    argv = [command, series_path, "--degree", "0", "--th-dpu", "0.5", "--normalize"]
+    if command == "query":
+        argv += ["--rules", _write_rules(tmp_path, STEP_RULES)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {NORMALIZE_OVERFLOW}\n"
+
+
 def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
@@ -443,6 +466,15 @@ def test_cli_cluster_too_many_clusters(tmp_path, capsys):
         capsys, ["cluster", series_path, "--degree", "2", "--th-dpu", "0.5", "--clusters", "4"]
     )
     assert code == 2
+
+
+def test_cli_cluster_overflow_is_a_data_error(tmp_path, capsys):
+    series_path = _write_series(tmp_path, HUGE_ALTERNATING)
+    code, out, err = _run(
+        capsys, ["cluster", series_path, "--degree", "2", "--th-dpu", "0.5", "--clusters", "2"]
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: points too large to cluster: squared distances overflow\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,54 @@ def test_basis_is_monic():
         for k in range(k_max + 1):
             assert basis.power_coeffs[k, k] == 1.0
             assert np.all(basis.power_coeffs[k, k + 1 :] == 0.0)
+
+
+def _numpy_basis(n: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The earlier numpy construction of power_coeffs and sq_norms, kept as a bit reference."""
+    coeffs = np.zeros((k_max + 1, k_max + 1))
+    coeffs[0, 0] = 1.0
+    if k_max >= 1:
+        coeffs[1, 0] = -n / 2.0
+        coeffs[1, 1] = 1.0
+    for k in range(1, k_max):
+        m = n + 1
+        b = k * k * (m * m - k * k) / (4.0 * (4 * k * k - 1))
+        coeffs[k + 1, 1 : k + 2] = coeffs[k, : k + 1]
+        coeffs[k + 1, : k + 1] -= (n / 2.0) * coeffs[k, : k + 1]
+        coeffs[k + 1, :k] -= b * coeffs[k - 1, :k]
+    norms = np.empty(k_max + 1)
+    for k in range(k_max + 1):
+        coeff = float(math.factorial(k)) ** 4 / float(
+            math.factorial(2 * k) * math.factorial(2 * k + 1)
+        )
+        prod = 1.0
+        for i in range(-k, k + 1):
+            prod *= n + 1 + i
+        norms[k] = coeff * prod
+    return coeffs, norms
+
+
+def test_basis_bits_match_the_numpy_construction():
+    for k_max in range(MAX_DEGREE + 1):
+        for n in [*range(k_max, 400), 4_999, 100_000, 250_000]:
+            basis = build_basis(n, k_max)
+            coeffs, norms = _numpy_basis(n, k_max)
+            assert basis.power_coeffs.tobytes() == coeffs.tobytes(), (n, k_max)
+            assert basis.sq_norms.tobytes() == norms.tobytes(), (n, k_max)
+
+
+def test_basis_holds_floats_and_read_only_arrays():
+    basis = build_basis(250, MAX_DEGREE)
+    assert [len(row) for row in basis.rows] == list(range(1, MAX_DEGREE + 2))
+    assert len(basis.norms) == MAX_DEGREE + 1
+    assert len(basis.offsets) == MAX_DEGREE
+    values = [*(v for row in basis.rows for v in row), *basis.norms, *basis.offsets]
+    assert all(type(v) is float for v in values)
+    for array in (basis.power_coeffs, basis.sq_norms):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert basis.power_coeffs is basis.power_coeffs  # built once
 
 
 def test_poly_values_match_power_coefficients():
