@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -91,8 +92,50 @@ def _smf_values(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return out
 
 
+def _clip_unit(v: float) -> float:
+    # np.clip(v, 0.0, 1.0) on one float: a -0.0 stays -0.0.
+    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+
+
+def _mf_scalar(mf: MembershipFunction, x: float) -> float:
+    # mf_eval for one float, in the same operations and order as the array
+    # path so that both give the same bits: ``** 2`` rather than ``t * t``,
+    # and numpy's exp rather than math.exp, which differ in the last bit.
+    if mf.kind == "gauss":
+        center, width = mf.params
+        return _clip_unit(float(np.exp(-((x - center) ** 2) / (2.0 * width * width))))
+    if mf.kind in ("zmf", "smf"):
+        a, b = mf.params
+        span = b - a
+        if x >= b:
+            out = 1.0
+        elif x <= a:
+            out = 0.0
+        elif x <= (a + b) / 2.0:
+            out = 2.0 * ((x - a) / span) ** 2
+        else:
+            out = 1.0 - 2.0 * ((x - b) / span) ** 2
+        return _clip_unit(1.0 - out if mf.kind == "zmf" else out)
+    p = mf.params  # a triangle is a trapezoid whose top is the single point b
+    a, b, c, d = p if mf.kind == "trap" else (p[0], p[1], p[1], p[2])
+    if x < a or x > d:
+        return 0.0
+    left = 1.0 if b == a else (x - a) / (b - a)
+    right = 1.0 if d == c else (d - x) / (d - c)
+    return _clip_unit(min(left, right))
+
+
 def mf_eval(mf: MembershipFunction, x):
-    """Membership degree of ``x`` (scalar or array); always within [0, 1]."""
+    """Membership degree of ``x`` (scalar or array); always within [0, 1].
+
+    A scalar is evaluated in plain floats and returned as a float; an array
+    goes through numpy.  Both give the same bits for the same input.
+    """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if not math.isfinite(x):
+            raise InvalidDataError("membership evaluation needs finite inputs")
+        return _mf_scalar(mf, x)
     xs = np.asarray(x, dtype=float)
     if xs.size and not np.all(np.isfinite(xs)):
         raise InvalidDataError("membership evaluation needs finite inputs")
@@ -115,10 +158,7 @@ def mf_eval(mf: MembershipFunction, x):
         out = 1.0 - _smf_values(xs, *mf.params)
     else:  # smf
         out = _smf_values(xs, *mf.params)
-    out = np.clip(out, 0.0, 1.0)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out)
-    return out
+    return np.clip(out, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -245,6 +285,17 @@ class FisConfig:
                 seen.setdefault(atom.variable, None)
         return tuple(seen)
 
+    @cached_property
+    def _compiled(self) -> tuple[dict[str, LinguisticVariable], np.ndarray, np.ndarray]:
+        """What infer reuses on every record: the input variables by name,
+        the output grid, and each rule's consequent set over that grid (one
+        read-only row per rule).  Built on first use; the fields never change.
+        """
+        grid = np.linspace(self.output.lo, self.output.hi, self.resolution)
+        sets = np.array([mf_eval(self.output.sets[r.consequent_set], grid) for r in self.rules])
+        grid.flags.writeable = sets.flags.writeable = False
+        return {v.name: v for v in self.inputs}, grid, sets
+
 
 @dataclass(frozen=True)
 class InferenceResult:
@@ -283,15 +334,15 @@ def infer(fis: FisConfig, values: Mapping[str, float]) -> InferenceResult:
     Input values are clamped to their variable domains.  Raises
     MissingFeatureError when a referenced input has no finite value.
     """
-    variables = {v.name: v for v in fis.inputs}
+    variables, grid, consequents = fis._compiled
     strengths = [
         rule.weight * _eval_expr(rule.antecedent, variables, values) for rule in fis.rules
     ]
-    grid = np.linspace(fis.output.lo, fis.output.hi, fis.resolution)
     aggregate = np.zeros_like(grid)
-    for rule, strength in zip(fis.rules, strengths):
-        clipped = np.minimum(strength, mf_eval(fis.output.sets[rule.consequent_set], grid))
-        np.maximum(aggregate, clipped, out=aggregate)
+    for strength, consequent in zip(strengths, consequents):
+        if strength == 0.0:
+            continue  # clipping at 0 adds nothing to the aggregate
+        np.maximum(aggregate, np.minimum(strength, consequent), out=aggregate)
     mass = float(aggregate.sum())
     if mass <= 0.0:
         midpoint = (fis.output.lo + fis.output.hi) / 2.0

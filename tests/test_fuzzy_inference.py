@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import random
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,10 @@ from fcpd import (
     triangular,
     z_shape,
 )
+from fcpd import fuzzy_inference
+from fcpd.query_dsl import parse, to_fis
+
+QUERIES = Path(__file__).resolve().parents[1] / "queries"
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +440,260 @@ def test_matches_the_scalar_oracle_on_random_systems():
         assert result.score == pytest.approx(want_score, rel=1e-9, abs=1e-9)
         degenerates += want_degenerate
     assert degenerates < 100  # the corpus mostly exercises the non-trivial path
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit against the numpy path.
+#
+# _numpy_mf_eval and _numpy_infer are the engine's earlier bodies, which sent
+# every scalar through a 0-d numpy array and rebuilt the output grid on every
+# call.  The plain-float scalar path and the cached grids must reproduce
+# their results to the last bit, signed zeros included.
+
+
+def _numpy_smf(x, a, b):
+    mid = (a + b) / 2.0
+    span = b - a
+    rising = 2.0 * ((x - a) / span) ** 2
+    settling = 1.0 - 2.0 * ((x - b) / span) ** 2
+    out = np.where(x <= mid, rising, settling)
+    out = np.where(x <= a, 0.0, out)
+    out = np.where(x >= b, 1.0, out)
+    return out
+
+
+def _numpy_mf_eval(mf: MembershipFunction, x):
+    xs = np.asarray(x, dtype=float)
+    if xs.size and not np.all(np.isfinite(xs)):
+        raise InvalidDataError("membership evaluation needs finite inputs")
+    if mf.kind == "tri":
+        a, b, c = mf.params
+        left = np.ones_like(xs) if b == a else (xs - a) / (b - a)
+        right = np.ones_like(xs) if c == b else (c - xs) / (c - b)
+        out = np.minimum(left, right)
+        out = np.where((xs < a) | (xs > c), 0.0, out)
+    elif mf.kind == "trap":
+        a, b, c, d = mf.params
+        left = np.ones_like(xs) if b == a else (xs - a) / (b - a)
+        right = np.ones_like(xs) if d == c else (d - xs) / (d - c)
+        out = np.minimum(np.minimum(left, 1.0), right)
+        out = np.where((xs < a) | (xs > d), 0.0, out)
+    elif mf.kind == "gauss":
+        center, width = mf.params
+        out = np.exp(-((xs - center) ** 2) / (2.0 * width * width))
+    elif mf.kind == "zmf":
+        out = 1.0 - _numpy_smf(xs, *mf.params)
+    else:
+        out = _numpy_smf(xs, *mf.params)
+    out = np.clip(out, 0.0, 1.0)
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return float(out)
+    return out
+
+
+def _numpy_expr(expr, variables, values) -> float:
+    if isinstance(expr, Atom):
+        var = variables[expr.variable]
+        x = min(max(float(values[expr.variable]), var.lo), var.hi)
+        degree = _numpy_mf_eval(var.sets[expr.fuzzy_set], x)
+        return 1.0 - degree if expr.negated else degree
+    pick = min if isinstance(expr, And) else max
+    return pick(_numpy_expr(expr.left, variables, values), _numpy_expr(expr.right, variables, values))
+
+
+def _numpy_infer(fis: FisConfig, values) -> tuple[float, bool, tuple[float, ...]]:
+    variables = {v.name: v for v in fis.inputs}
+    strengths = [r.weight * _numpy_expr(r.antecedent, variables, values) for r in fis.rules]
+    grid = np.linspace(fis.output.lo, fis.output.hi, fis.resolution)
+    aggregate = np.zeros_like(grid)
+    for rule, strength in zip(fis.rules, strengths):
+        clipped = np.minimum(strength, _numpy_mf_eval(fis.output.sets[rule.consequent_set], grid))
+        np.maximum(aggregate, clipped, out=aggregate)
+    mass = float(aggregate.sum())
+    if mass <= 0.0:
+        return (fis.output.lo + fis.output.hi) / 2.0, True, tuple(strengths)
+    return float((grid * aggregate).sum() / mass), False, tuple(strengths)
+
+
+def _bits(*values: float) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _rule_file_systems() -> dict[str, FisConfig]:
+    return {path.name: to_fis(parse(path.read_text())) for path in sorted(QUERIES.glob("*.fcq"))}
+
+
+def _edge_sets() -> list[MembershipFunction]:
+    """Vertical edges, trap shoulders and zero-touching parameters."""
+    return [
+        triangular(0.0, 0.0, 1.0),
+        triangular(0.0, 1.0, 1.0),
+        triangular(0.0, 1.0, 2.0),
+        triangular(-1.0, -0.5, -0.0),
+        trapezoidal(0.0, 0.0, 1.0, 1.0),
+        trapezoidal(-2.0, -2.0, 0.0, 1.0),
+        trapezoidal(-1.0, 0.0, 2.0, 2.0),
+        trapezoidal(0.0, 0.25, 0.75, 1.0),
+        trapezoidal(-0.5, 0.5, 0.5, 1.5),
+        gaussian(0.0, 0.3),
+        gaussian(-1.7, 2.5),
+        z_shape(0.0, 1.0),
+        s_shape(-1.0, 0.0),
+        z_shape(-0.3, 0.9),
+        s_shape(0.1, 1e-3 + 0.1),
+    ]
+
+
+def _probe_points(mf: MembershipFunction) -> list[float]:
+    lo, hi = min(mf.params), max(mf.params)
+    span = max(hi - lo, mf.params[-1] if mf.kind == "gauss" else 0.0, 1e-3)
+    points = [float(x) for x in np.linspace(lo - span, hi + span, 401)]
+    for p in (*mf.params, (mf.params[0] + mf.params[-1]) / 2.0):
+        points += [math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)]
+    return points + [0.0, -0.0, 5e-324, -5e-324]
+
+
+def _membership_corpus() -> list[MembershipFunction]:
+    mfs = _edge_sets()
+    for fis in _rule_file_systems().values():
+        for var in (*fis.inputs, fis.output):
+            mfs += var.sets.values()
+    return mfs
+
+
+def test_scalar_membership_matches_the_numpy_path_bit_for_bit():
+    mismatches = []
+    kinds = set()
+    for mf in _membership_corpus():
+        kinds.add(mf.kind)
+        for x in _probe_points(mf):
+            got = mf_eval(mf, x)
+            want = _numpy_mf_eval(mf, x)
+            assert type(got) is float
+            if _bits(got) != _bits(want):
+                mismatches.append((mf, x, got, want))
+            # numpy scalars and 0-d arrays take the same scalar path.
+            assert _bits(mf_eval(mf, np.float64(x))) == _bits(mf_eval(mf, np.array(x))) == _bits(got)
+    assert kinds == {"tri", "trap", "gauss", "zmf", "smf"}
+    assert mismatches == []
+
+
+def test_array_membership_matches_the_numpy_path_bit_for_bit():
+    for mf in _membership_corpus():
+        xs = np.array(_probe_points(mf))
+        assert mf_eval(mf, xs).tobytes() == _numpy_mf_eval(mf, xs).tobytes()
+
+
+def test_scalar_membership_rejects_non_finite_input():
+    for x in (math.nan, math.inf, -math.inf, np.float64("nan"), np.array(math.inf)):
+        with pytest.raises(InvalidDataError):
+            mf_eval(triangular(0.0, 1.0, 2.0), x)
+
+
+def _assert_same_bits(fis: FisConfig, values) -> bool:
+    result = infer(fis, values)
+    score, degenerate, strengths = _numpy_infer(fis, values)
+    assert (_bits(result.score), result.degenerate) == (_bits(score), degenerate), values
+    assert _bits(*result.firing_strengths) == _bits(*strengths), values
+    return degenerate
+
+
+def _domain_records(rng: random.Random, inputs, n: int) -> list[dict[str, float]]:
+    """Random in-domain and out-of-domain values, then every domain edge."""
+    records = [
+        {v.name: rng.uniform(v.lo - 0.5 * (v.hi - v.lo), v.hi + 0.5 * (v.hi - v.lo)) for v in inputs}
+        for _ in range(n)
+    ]
+    for pick in (lambda v: v.lo, lambda v: v.hi, lambda v: v.lo - 1e9, lambda v: v.hi + 1e9,
+                 lambda v: -0.0, lambda v: math.nextafter(v.hi, v.lo)):
+        records.append({v.name: pick(v) for v in inputs})
+    return records
+
+
+def _set_parameter_records(inputs) -> list[dict[str, float]]:
+    """Each input at every parameter of each of its sets, and one ulp either side."""
+    records = []
+    for var in inputs:
+        others = {v.name: (v.lo + v.hi) / 2.0 for v in inputs}
+        for mf in var.sets.values():
+            for p in mf.params:
+                for x in (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)):
+                    records.append({**others, var.name: x})
+    return records
+
+
+def test_infer_matches_the_numpy_path_on_every_rule_file():
+    rng = random.Random(20261018)
+    systems = _rule_file_systems()
+    assert len(systems) == 6
+    for fis in systems.values():
+        for values in _domain_records(rng, fis.inputs, 150) + _set_parameter_records(fis.inputs):
+            _assert_same_bits(fis, values)
+
+
+def _hand_built_system(resolution: int) -> FisConfig:
+    x = LinguisticVariable("x", -1.0, 1.0, {
+        "neg": z_shape(-1.0, 0.0), "zero": triangular(-0.5, 0.0, 0.5),
+        "pos": s_shape(0.0, 1.0), "edge": trapezoidal(0.5, 0.75, 1.0, 1.0),
+    })
+    y = LinguisticVariable("y", 0.0, 4.0, {
+        "low": trapezoidal(0.0, 0.0, 1.0, 2.0), "mid": gaussian(2.0, 0.6),
+        "high": triangular(2.0, 4.0, 4.0),
+    })
+    score = LinguisticVariable("score", -1.0, 3.0, {
+        "down": trapezoidal(-1.0, -1.0, -0.5, 0.5), "flat": gaussian(1.0, 0.4),
+        "up": triangular(1.5, 3.0, 3.0),
+    })
+    rules = (
+        Rule(Atom("x", "neg"), "score", "down", weight=0.8),
+        Rule(And(Atom("x", "zero"), Atom("y", "mid", negated=True)), "score", "flat", weight=0.5),
+        Rule(Or(Atom("x", "pos"), Atom("y", "high")), "score", "up"),
+        Rule(And(Atom("x", "edge"), Atom("y", "low", negated=True)), "score", "up", weight=0.25),
+        Rule(Atom("y", "low"), "score", "flat", weight=0.3),
+    )
+    return FisConfig(inputs=(x, y), output=score, rules=rules, resolution=resolution)
+
+
+@pytest.mark.parametrize("resolution", [2, 1001, 4097])
+def test_infer_matches_the_numpy_path_on_a_hand_built_system(resolution):
+    fis = _hand_built_system(resolution)
+    rng = random.Random(resolution)
+    records = _domain_records(rng, fis.inputs, 120) + _set_parameter_records(fis.inputs)
+    mixed = 0
+    for values in records:
+        _assert_same_bits(fis, values)
+        strengths = infer(fis, values).firing_strengths
+        mixed += 0.0 in strengths and any(strengths)
+    assert mixed > len(records) // 4  # rules at exactly zero next to rules that fire
+    # A record that fires no rule at all falls back to the midpoint.
+    quiet = FisConfig(fis.inputs, fis.output, fis.rules[2:3], resolution)
+    assert infer(quiet, {"x": -1.0, "y": 0.0}).firing_strengths == (0.0,)
+    assert _assert_same_bits(quiet, {"x": -1.0, "y": 0.0}) is True
+
+
+def test_output_grids_are_read_only_and_built_once(monkeypatch):
+    fis = _hand_built_system(1001)
+    infer(fis, {"x": 0.1, "y": 1.0})
+    _, grid, consequents = fis._compiled
+    assert consequents.shape == (len(fis.rules), fis.resolution)
+    for array in (grid, *consequents):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+    array_calls = []
+    real = fuzzy_inference.mf_eval
+
+    def spy(mf, x):
+        if np.ndim(x) > 0:
+            array_calls.append(mf)
+        return real(mf, x)
+
+    monkeypatch.setattr(fuzzy_inference, "mf_eval", spy)
+    infer(fis, {"x": -0.4, "y": 3.5})
+    assert array_calls == []
+    infer(_hand_built_system(1001), {"x": -0.4, "y": 3.5})
+    assert len(array_calls) == len(fis.rules)
 
 
 # ---------------------------------------------------------------------------

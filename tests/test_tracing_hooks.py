@@ -4,7 +4,9 @@
 a wrapper, so it only sees a layer that the code looks up through that
 attribute at call time.  This test wraps the same attributes with call
 counters, runs ``fcpd query`` and ``fcpd sensitivity`` in-process on inputs
-like the benchmark's, and requires every wrapper to have been called.
+like the benchmark's, and requires every wrapper to have been called, and
+``infer`` once per scored segment: scoring that goes around ``cli_io.infer``
+would leave the benchmark's per-record inference metrics empty.
 """
 
 from __future__ import annotations
@@ -60,7 +62,17 @@ def calls(monkeypatch) -> Counter:
     return counter
 
 
-def test_query_and_sensitivity_reach_every_wrapped_layer(calls, tmp_path):
+def test_query_and_sensitivity_reach_every_wrapped_layer(calls, tmp_path, monkeypatch):
+    scored: list[int] = []
+    run_query = cli_io.run_query
+
+    def counting_run_query(*args, **kwargs):
+        result = run_query(*args, **kwargs)
+        scored.append(len(result.scored))
+        return result
+
+    monkeypatch.setattr(cli_io, "run_query", counting_run_query)
+
     rng = np.random.default_rng(7)
     t = np.arange(400, dtype=float)
     # Daily counts with a weekly cycle and a level shift, as in crime_cli.
@@ -87,3 +99,8 @@ def test_query_and_sensitivity_reach_every_wrapped_layer(calls, tmp_path):
     assert [_key(owner, name) for owner, name in HOOKS if calls[_key(owner, name)] == 0] == []
     # Every sample goes through push, which grows the window once.
     assert calls["fcpd.segmentation.window_grow"] == calls["SegmentStream.push"]
+    # One run_query for the query plus one per district file, and one infer
+    # call per scored segment.
+    assert len(scored) == calls["fcpd.cli_io.run_query"] == 3
+    assert sum(scored) > 0
+    assert calls["fcpd.cli_io.infer"] == sum(scored)
