@@ -1,8 +1,9 @@
 """Tests for the Mamdani inference engine.
 
 The oracle below re-implements the whole pipeline with scalar Python math
-(no numpy), so the vectorized production path is checked against an
-independent computation.
+(no numpy), so the production path is checked against an independent
+computation.  Further down, the engine's earlier all-numpy bodies are kept
+as references that the production path must match bit for bit.
 """
 
 from __future__ import annotations
@@ -545,9 +546,13 @@ def _edge_sets() -> list[MembershipFunction]:
 
 
 def _probe_points(mf: MembershipFunction) -> list[float]:
-    lo, hi = min(mf.params), max(mf.params)
-    span = max(hi - lo, mf.params[-1] if mf.kind == "gauss" else 0.0, 1e-3)
-    points = [float(x) for x in np.linspace(lo - span, hi + span, 401)]
+    if mf.kind == "gauss":
+        center, width = mf.params
+        lo, hi = center - 4.0 * width, center + 4.0 * width
+    else:
+        span = mf.params[-1] - mf.params[0]
+        lo, hi = mf.params[0] - span, mf.params[-1] + span
+    points = [float(x) for x in np.linspace(lo, hi, 401)]
     for p in (*mf.params, (mf.params[0] + mf.params[-1]) / 2.0):
         points += [math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)]
     return points + [0.0, -0.0, 5e-324, -5e-324]
@@ -590,12 +595,12 @@ def test_scalar_membership_rejects_non_finite_input():
             mf_eval(triangular(0.0, 1.0, 2.0), x)
 
 
-def _assert_same_bits(fis: FisConfig, values) -> bool:
+def _assert_same_bits(fis: FisConfig, values):
     result = infer(fis, values)
     score, degenerate, strengths = _numpy_infer(fis, values)
     assert (_bits(result.score), result.degenerate) == (_bits(score), degenerate), values
     assert _bits(*result.firing_strengths) == _bits(*strengths), values
-    return degenerate
+    return result
 
 
 def _domain_records(rng: random.Random, inputs, n: int) -> list[dict[str, float]]:
@@ -661,14 +666,13 @@ def test_infer_matches_the_numpy_path_on_a_hand_built_system(resolution):
     records = _domain_records(rng, fis.inputs, 120) + _set_parameter_records(fis.inputs)
     mixed = 0
     for values in records:
-        _assert_same_bits(fis, values)
-        strengths = infer(fis, values).firing_strengths
+        strengths = _assert_same_bits(fis, values).firing_strengths
         mixed += 0.0 in strengths and any(strengths)
     assert mixed > len(records) // 4  # rules at exactly zero next to rules that fire
     # A record that fires no rule at all falls back to the midpoint.
     quiet = FisConfig(fis.inputs, fis.output, fis.rules[2:3], resolution)
-    assert infer(quiet, {"x": -1.0, "y": 0.0}).firing_strengths == (0.0,)
-    assert _assert_same_bits(quiet, {"x": -1.0, "y": 0.0}) is True
+    result = _assert_same_bits(quiet, {"x": -1.0, "y": 0.0})
+    assert result.firing_strengths == (0.0,) and result.degenerate
 
 
 def test_output_grids_are_read_only_and_built_once(monkeypatch):
