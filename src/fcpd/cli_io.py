@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     MissingFeatureError,
 )
 from .features import _check_epsilon, build_records, resolve_feature_name
-from .fuzzy_inference import infer
+from .fuzzy_inference import FisConfig, infer
 from .query_dsl import QueryError, parse, to_fis
 from .segmentation import (
     Segment,
@@ -152,6 +153,20 @@ class RunConfig:
     delay: int = 1
     epsilon: float = 1e-9
 
+    @cached_property
+    def rules(self) -> tuple[FisConfig, dict[str, str]]:
+        """The inference system and the record key of each input it reads,
+        with delay and epsilon checked; built once, on first use."""
+        if self.rules_text is None:
+            raise InvalidConfigError("run_query needs rules_text")
+        fis = to_fis(parse(self.rules_text))
+        key_map = {
+            name: resolve_feature_name(name, self.segmentation.degree, self.delay)
+            for name in fis.input_variables_referenced()
+        }
+        _check_epsilon(self.epsilon)
+        return fis, key_map
+
 
 @dataclass(frozen=True)
 class ScoredSegment:
@@ -179,17 +194,10 @@ def run_query(series, config: RunConfig) -> QueryResult:
     """Segment a series, build features, and score every scorable segment.
 
     Segments whose referenced features are missing are skipped and reported,
-    never scored.  Rule-file, feature-name, delay and epsilon errors are raised
-    before the series is normalized or segmented.
+    never scored.  Rule-file, feature-name, delay and epsilon errors, from
+    ``config.rules``, are raised before the series is normalized or segmented.
     """
-    if config.rules_text is None:
-        raise InvalidConfigError("run_query needs rules_text")
-    fis = to_fis(parse(config.rules_text))
-    key_map = {
-        name: resolve_feature_name(name, config.segmentation.degree, config.delay)
-        for name in fis.input_variables_referenced()
-    }
-    _check_epsilon(config.epsilon)
+    fis, key_map = config.rules
     y = normalize(series) if config.normalize else series
     segmentation = segment_series(y, config.segmentation)
     records = build_records(segmentation, d=config.delay, epsilon=config.epsilon)
@@ -285,10 +293,9 @@ def _write_plot_data(
             if segment.alpha is None:
                 continue
             basis = build_basis(segment.alpha.window_len, segment.alpha.degree)
-            local = np.arange(segment.length, dtype=float)
-            fitted = evaluate(segment.alpha, basis, local)
-            for x, y in zip(local, fitted):
-                fh.write(f"{segment.start + int(x)} {_fmt(y)}\n")
+            fitted = evaluate(segment.alpha, basis, np.arange(segment.length))
+            for x, y in enumerate(fitted, start=segment.start):
+                fh.write(f"{x} {_fmt(y)}\n")
     if scores is not None:
         with open(out / "scores.dat", "w") as fh:
             for index in sorted(scores):

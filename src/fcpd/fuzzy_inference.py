@@ -80,27 +80,15 @@ def s_shape(a: float, b: float) -> MembershipFunction:
     return MembershipFunction("smf", (a, b))
 
 
-def _smf_values(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    # Quadratic spline: 0 at a, 1 at b, knee at the midpoint.
-    mid = (a + b) / 2.0
-    span = b - a
-    rising = 2.0 * ((x - a) / span) ** 2
-    settling = 1.0 - 2.0 * ((x - b) / span) ** 2
-    out = np.where(x <= mid, rising, settling)
-    out = np.where(x <= a, 0.0, out)
-    out = np.where(x >= b, 1.0, out)
-    return out
-
-
 def _clip_unit(v: float) -> float:
     # np.clip(v, 0.0, 1.0) on one float: a -0.0 stays -0.0.
     return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
 
 def _mf_scalar(mf: MembershipFunction, x: float) -> float:
-    # mf_eval for one float, in the same operations and order as the array
-    # path so that both give the same bits: ``** 2`` rather than ``t * t``,
-    # and numpy's exp rather than math.exp, which differ in the last bit.
+    # ``** 2`` rather than ``t * t``, and numpy's exp rather than math.exp:
+    # the alternatives differ in the last bit from the values this engine
+    # has always produced.
     if mf.kind == "gauss":
         center, width = mf.params
         return _clip_unit(float(np.exp(-((x - center) ** 2) / (2.0 * width * width))))
@@ -125,40 +113,27 @@ def _mf_scalar(mf: MembershipFunction, x: float) -> float:
     return _clip_unit(min(left, right))
 
 
+def _finite(x) -> float:
+    try:
+        value = float(x)
+    except (TypeError, ValueError):
+        raise InvalidDataError(f"membership evaluation needs numbers, got {x!r}") from None
+    if not math.isfinite(value):
+        raise InvalidDataError("membership evaluation needs finite inputs")
+    return value
+
+
 def mf_eval(mf: MembershipFunction, x):
     """Membership degree of ``x`` (scalar or array); always within [0, 1].
 
-    A scalar is evaluated in plain floats and returned as a float; an array
-    goes through numpy.  Both give the same bits for the same input.
+    Every value goes through the same plain-float code: a scalar returns a
+    float, an array an array of the same shape holding each element's degree.
     """
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
-        if not math.isfinite(x):
-            raise InvalidDataError("membership evaluation needs finite inputs")
-        return _mf_scalar(mf, x)
+    if np.ndim(x) == 0:
+        return _mf_scalar(mf, _finite(x))
     xs = np.asarray(x, dtype=float)
-    if xs.size and not np.all(np.isfinite(xs)):
-        raise InvalidDataError("membership evaluation needs finite inputs")
-    if mf.kind == "tri":
-        a, b, c = mf.params
-        left = np.ones_like(xs) if b == a else (xs - a) / (b - a)
-        right = np.ones_like(xs) if c == b else (c - xs) / (c - b)
-        out = np.minimum(left, right)
-        out = np.where((xs < a) | (xs > c), 0.0, out)
-    elif mf.kind == "trap":
-        a, b, c, d = mf.params
-        left = np.ones_like(xs) if b == a else (xs - a) / (b - a)
-        right = np.ones_like(xs) if d == c else (d - xs) / (d - c)
-        out = np.minimum(np.minimum(left, 1.0), right)
-        out = np.where((xs < a) | (xs > d), 0.0, out)
-    elif mf.kind == "gauss":
-        center, width = mf.params
-        out = np.exp(-((xs - center) ** 2) / (2.0 * width * width))
-    elif mf.kind == "zmf":
-        out = 1.0 - _smf_values(xs, *mf.params)
-    else:  # smf
-        out = _smf_values(xs, *mf.params)
-    return np.clip(out, 0.0, 1.0)
+    degrees = [_mf_scalar(mf, _finite(v)) for v in xs.ravel().tolist()]
+    return np.array(degrees).reshape(xs.shape)
 
 
 @dataclass(frozen=True)

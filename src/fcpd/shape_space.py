@@ -133,6 +133,14 @@ def _recurse(x, window_len: int, offsets):
         yield cur
 
 
+def _fitted(alpha, x: float, window_len: int, offsets) -> float:
+    """sum_k alpha_k p_k(x) in plain floats; NaN when fsum meets inf - inf or overflows."""
+    try:
+        return math.fsum(map(operator.mul, alpha, _recurse(x, window_len, offsets)))
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def build_basis(window_len: int, degree: int) -> OrthoBasis:
     """Construct the basis for the grid 0..window_len up to ``degree``."""
     _check_degree(degree)
@@ -233,7 +241,8 @@ def evaluate(shape: ShapeVector, basis: OrthoBasis, x):
     """Evaluate the fitted polynomial sum_k alpha_k p_k at ``x``.
 
     ``basis`` must match the shape vector's grid and degree.  Scalar ``x``
-    returns a float; array ``x`` returns an array.
+    returns a float, array ``x`` an array of its shape; each value takes the
+    arithmetic of window_grow's fitted value, so both give the same bits.
     """
     if basis.window_len != shape.window_len or basis.degree != shape.degree:
         raise InvalidConfigError(
@@ -241,11 +250,11 @@ def evaluate(shape: ShapeVector, basis: OrthoBasis, x):
             f"grid {basis.window_len}/{shape.window_len}, "
             f"degree {basis.degree}/{shape.degree}"
         )
-    values = basis.poly_values(x)
-    result = np.tensordot(shape.alpha, values, axes=1)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(result)
-    return result
+    alpha, n, offsets = shape.alpha.tolist(), basis.window_len, basis.offsets
+    if np.ndim(x) == 0:
+        return _fitted(alpha, float(x), n, offsets)
+    xs = np.asarray(x, dtype=float)
+    return np.array([_fitted(alpha, p, n, offsets) for p in xs.ravel().tolist()]).reshape(xs.shape)
 
 
 class SlopeSignMode(enum.Enum):
@@ -352,7 +361,7 @@ def window_grow(state: WindowState, y: float) -> WindowState:
                 math.fsum(map(operator.mul, row, state.moments)) / norm
                 for row, norm in zip(basis.rows, basis.norms)
             ]
-            fitted = math.fsum(map(operator.mul, alpha, _recurse(float(n), n, basis.offsets)))
+            fitted = _fitted(alpha, float(n), n, basis.offsets)
         except (ValueError, OverflowError):  # fsum met inf - inf or overflowed
             fitted = math.nan
         # A non-finite coefficient makes its product with p_k(n) non-finite too.

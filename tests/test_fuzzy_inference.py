@@ -584,13 +584,22 @@ def test_scalar_membership_matches_the_numpy_path_bit_for_bit():
 
 
 def test_array_membership_matches_the_numpy_path_bit_for_bit():
+    # An array takes the scalar path element by element.
     for mf in _membership_corpus():
         xs = np.array(_probe_points(mf))
-        assert mf_eval(mf, xs).tobytes() == _numpy_mf_eval(mf, xs).tobytes()
+        want = np.array([_numpy_mf_eval(mf, x) for x in xs.tolist()])
+        assert mf_eval(mf, xs).tobytes() == want.tobytes()
 
 
 def test_scalar_membership_rejects_non_finite_input():
     for x in (math.nan, math.inf, -math.inf, np.float64("nan"), np.array(math.inf)):
+        with pytest.raises(InvalidDataError):
+            mf_eval(triangular(0.0, 1.0, 2.0), x)
+
+
+def test_membership_rejects_non_numeric_input():
+    # As an array's None already did (numpy reads it as NaN).
+    for x in (None, "high", object(), np.array([None, 1.0])):
         with pytest.raises(InvalidDataError):
             mf_eval(triangular(0.0, 1.0, 2.0), x)
 

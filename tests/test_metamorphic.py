@@ -3,7 +3,8 @@
 These hold in exact arithmetic and, today, to the bit: scaling a series by a
 power of two before ``--normalize`` leaves the query output unchanged, and
 samples appended after a closed segment never change the segments closed
-before it (the on-line property).  Unlike golden files they do not pin any
+before it (the on-line property), and a stream started at index k closes
+the same segments shifted by k.  Unlike golden files they do not pin any
 particular rounding, so they carry over to a faster kernel that rounds
 differently.
 """
@@ -18,7 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fcpd import ClosedBy, SegmentationConfig, SlopeSignMode, cli_io, segment_series
+from fcpd import (
+    ClosedBy,
+    SegmentationConfig,
+    SegmentStream,
+    SlopeSignMode,
+    cli_io,
+    segment_series,
+)
 
 RULES = Path(__file__).resolve().parents[1] / "queries" / "graded_variation.fcq"
 
@@ -78,3 +86,25 @@ def test_appending_samples_keeps_the_closed_segments(config):
         assert [_closed(s) for s in closed] == [_closed(s) for s in full[:len(closed)]]
         checked += len(closed)
     assert checked >= 10
+
+
+def _from(y, config: SegmentationConfig, start_index: int) -> tuple:
+    stream = SegmentStream(config, start_index=start_index)
+    for value in y:
+        stream.push(float(value))
+    return stream.result().segments
+
+
+@pytest.mark.parametrize("config", [
+    SegmentationConfig(degree=5, th_dpu=1.0),
+    SegmentationConfig(degree=5, th_sss=2, sss_mode=SlopeSignMode.ALPHA1_SIGN),
+    SegmentationConfig(degree=3, th_sss=6, sss_mode=SlopeSignMode.FIRST_DIFF_SIGN,
+                       min_segment_len=8),
+])
+def test_start_index_shifts_positions_only(config):
+    y = _series(7, 900)
+    base = [_closed(s) for s in segment_series(y, config).segments]
+    assert sum(closed_by is not ClosedBy.END_OF_STREAM for _, _, closed_by, _ in base) >= 10
+    for k in (1, 250, 10**9):
+        shifted = _from(y, config, k)
+        assert [(start - k, end - k, *rest) for start, end, *rest in map(_closed, shifted)] == base

@@ -15,11 +15,14 @@ from fcpd import (
     InsufficientDataError,
     InvalidConfigError,
     InvalidDataError,
+    MAX_DEGREE,
     SegmentStream,
     Segmentation,
     SegmentationConfig,
     SlopeSignMode,
     TailPolicy,
+    build_basis,
+    evaluate,
     fit,
     segment_series,
     window_grow,
@@ -106,6 +109,27 @@ def test_dpu_threshold_is_strict():
     ]
     below = segment_series([0.0, 2.0], SegmentationConfig(degree=0, th_dpu=0.999))
     assert [(s.start, s.end, s.closed_by) for s in below.segments] == [(0, 1, ClosedBy.DPU)]
+
+
+@pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
+def test_dpu_deviation_is_the_evaluated_fit_bit_for_bit(degree):
+    # The deviation that closes a DPU segment is |fit - y| at its last sample,
+    # and evaluate() on the segment's shape vector computes that fit with the
+    # window's own arithmetic.
+    rng = np.random.default_rng(60 + degree)
+    y = np.cumsum(rng.normal(0.0, 1.0, 1200)) + rng.normal(0.0, 0.5, 1200)
+    config = SegmentationConfig(degree=degree, th_dpu=1.5)
+    closed = [s for s in segment_series(y, config).segments if s.closed_by is ClosedBy.DPU]
+    assert len(closed) >= 10
+    for seg in closed:
+        state = window_init(seg.start, degree)
+        for value in y[seg.start : seg.end + 1]:
+            window_grow(state, float(value))
+        n = seg.length - 1
+        fitted = evaluate(seg.alpha, build_basis(n, degree), float(n))
+        # Both are finite and >= 0, so == compares every bit.
+        assert abs(fitted - float(y[seg.end])) == state.deviation
+        assert state.deviation > config.th_dpu
 
 
 @pytest.mark.parametrize(

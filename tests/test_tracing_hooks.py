@@ -4,8 +4,8 @@
 a wrapper, so it only sees a layer that the code looks up through that
 attribute at call time.  This test wraps the same attributes with call
 counters, runs ``fcpd query`` and ``fcpd sensitivity`` in-process on inputs
-like the benchmark's, and requires every wrapper to have been called, and
-``infer`` once per scored segment: scoring that goes around ``cli_io.infer``
+like the benchmark's, and requires every wrapper to have been called, ``parse`` and
+``to_fis`` once per invocation, and ``infer`` once per scored segment: scoring that goes around ``cli_io.infer``
 would leave the benchmark's per-record inference metrics empty.
 """
 
@@ -100,7 +100,8 @@ def test_query_and_sensitivity_reach_every_wrapped_layer(calls, tmp_path, monkey
     # Every sample goes through push, which grows the window once.
     assert calls["fcpd.segmentation.window_grow"] == calls["SegmentStream.push"]
     # One run_query for the query plus one per district file, and one infer
-    # call per scored segment.
+    # call per scored segment; each invocation compiles its rules once.
     assert len(scored) == calls["fcpd.cli_io.run_query"] == 3
+    assert calls["fcpd.cli_io.parse"] == calls["fcpd.cli_io.to_fis"] == len(runs)
     assert sum(scored) > 0
     assert calls["fcpd.cli_io.infer"] == sum(scored)
