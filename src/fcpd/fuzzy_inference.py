@@ -129,7 +129,7 @@ def mf_eval(mf: MembershipFunction, x):
     Every value goes through the same plain-float code: a scalar returns a
     float, an array an array of the same shape holding each element's degree.
     """
-    if np.ndim(x) == 0:
+    if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim costs more than a degree
         return _mf_scalar(mf, _finite(x))
     xs = np.asarray(x, dtype=float)
     degrees = [_mf_scalar(mf, _finite(v)) for v in xs.ravel().tolist()]
