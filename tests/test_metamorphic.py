@@ -88,13 +88,6 @@ def test_appending_samples_keeps_the_closed_segments(config):
     assert checked >= 10
 
 
-def _from(y, config: SegmentationConfig, start_index: int) -> tuple:
-    stream = SegmentStream(config, start_index=start_index)
-    for value in y:
-        stream.push(float(value))
-    return stream.result().segments
-
-
 @pytest.mark.parametrize("config", [
     SegmentationConfig(degree=5, th_dpu=1.0),
     SegmentationConfig(degree=5, th_sss=2, sss_mode=SlopeSignMode.ALPHA1_SIGN),
@@ -106,5 +99,8 @@ def test_start_index_shifts_positions_only(config):
     base = [_closed(s) for s in segment_series(y, config).segments]
     assert sum(closed_by is not ClosedBy.END_OF_STREAM for _, _, closed_by, _ in base) >= 10
     for k in (1, 250, 10**9):
-        shifted = _from(y, config, k)
-        assert [(start - k, end - k, *rest) for start, end, *rest in map(_closed, shifted)] == base
+        stream = SegmentStream(config, start_index=k)
+        for value in y:
+            stream.push(float(value))
+        shifted = [_closed(s) for s in stream.result().segments]
+        assert [(start - k, end - k, *rest) for start, end, *rest in shifted] == base

@@ -4,9 +4,10 @@
 a wrapper, so it only sees a layer that the code looks up through that
 attribute at call time.  This test wraps the same attributes with call
 counters, runs ``fcpd query`` and ``fcpd sensitivity`` in-process on inputs
-like the benchmark's, and requires every wrapper to have been called, ``parse`` and
-``to_fis`` once per invocation, and ``infer`` once per scored segment: scoring that goes around ``cli_io.infer``
-would leave the benchmark's per-record inference metrics empty.
+like the benchmark's, and requires every wrapper to have been called,
+``parse`` and ``to_fis`` once per invocation, and ``infer`` once per scored
+segment: scoring that goes around ``cli_io.infer`` would leave the
+benchmark's per-record inference metrics empty.
 """
 
 from __future__ import annotations
