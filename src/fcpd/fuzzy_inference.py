@@ -87,8 +87,8 @@ def _clip_unit(v: float) -> float:
 
 def _mf_scalar(mf: MembershipFunction, x: float) -> float:
     # ``** 2`` rather than ``t * t``, and numpy's exp rather than math.exp:
-    # the alternatives differ in the last bit from the values this engine
-    # has always produced.
+    # the alternatives change the last bit of some degrees, which the tests
+    # pin to a numpy reference.
     if mf.kind == "gauss":
         center, width = mf.params
         return _clip_unit(float(np.exp(-((x - center) ** 2) / (2.0 * width * width))))
