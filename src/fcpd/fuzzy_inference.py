@@ -264,10 +264,13 @@ class FisConfig:
     def _compiled(self) -> tuple[dict[str, LinguisticVariable], np.ndarray, np.ndarray]:
         """What infer reuses on every record: the input variables by name,
         the output grid, and each rule's consequent set over that grid (one
-        read-only row per rule).  Built on first use; the fields never change.
+        read-only row per rule; each distinct set is evaluated once).  Built
+        on first use; the fields never change.
         """
         grid = np.linspace(self.output.lo, self.output.hi, self.resolution)
-        sets = np.array([mf_eval(self.output.sets[r.consequent_set], grid) for r in self.rules])
+        names = dict.fromkeys(r.consequent_set for r in self.rules)
+        over_grid = {name: mf_eval(self.output.sets[name], grid) for name in names}
+        sets = np.array([over_grid[r.consequent_set] for r in self.rules])
         grid.flags.writeable = sets.flags.writeable = False
         return {v.name: v for v in self.inputs}, grid, sets
 

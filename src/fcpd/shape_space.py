@@ -84,18 +84,19 @@ def squared_norm(k: int, window_len: int) -> float:
 class OrthoBasis:
     """Monic discrete Chebyshev basis on the grid 0..window_len, orders 0..degree.
 
-    Plain Python floats: rows[k][j] is the coefficient of x^j in p_k
-    (j = 0..k, rows[k][k] exactly 1), norms[k] the closed-form squared norm
-    and offsets[k] the recursion's b_k (k = 0..degree-1).  power_coeffs (the
-    rows as a lower-triangular matrix) and sq_norms are read-only arrays
-    built on first access.
+    Tuples of plain Python floats: rows[k][j] is the coefficient of x^j in
+    p_k (j = 0..k, rows[k][k] exactly 1), norms[k] the closed-form squared
+    norm and offsets[k] the recursion's b_k (k = 0..degree-1).  power_coeffs
+    (the rows as a lower-triangular matrix) and sq_norms are read-only arrays
+    built on first access.  build_basis may hand out the same instance more
+    than once, so nothing in it can change.
     """
 
     window_len: int
     degree: int
-    rows: list[list[float]]
-    norms: list[float]
-    offsets: list[float]
+    rows: tuple[tuple[float, ...], ...]
+    norms: tuple[float, ...]
+    offsets: tuple[float, ...]
 
     @cached_property
     def power_coeffs(self) -> np.ndarray:
@@ -141,8 +142,96 @@ def _fitted(alpha, x: float, window_len: int, offsets) -> float:
         return math.nan
 
 
+# Bases are built in blocks of _BLOCK_LEN consecutive window lengths, one
+# numpy pass per block.  Each degree keeps its first block (lengths
+# 0.._BLOCK_LEN-1), and every basis drawn from it, for the life of the
+# process; longer lengths come from the _LONG_BLOCKS_KEPT blocks of that
+# degree used most recently, and get a fresh OrthoBasis on each call.
+_BLOCK_LEN = 1024
+_LONG_BLOCKS_KEPT = 2
+# Up to this n + 1, k^2 (n+1)^2 fits in int64 for every k <= MAX_DEGREE;
+# blocks reaching past it do their integer arithmetic in Python ints.
+_INT64_LEN_CAP = math.isqrt((2**63 - 1) // MAX_DEGREE**2)
+
+
+def _packed_layout(degree: int) -> operator.itemgetter:
+    """Picks rows 0..degree, the norms and the offsets out of one packed basis."""
+    rows = [slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2) for k in range(degree + 1)]
+    end = rows[-1].stop
+    return operator.itemgetter(
+        *rows, slice(end, end + degree + 1), slice(end + degree + 1, end + 2 * degree + 1)
+    )
+
+
+_LAYOUTS = tuple(_packed_layout(degree) for degree in range(MAX_DEGREE + 1))
+
+
+def _build_block(start: int, degree: int) -> np.ndarray:
+    """Packed bases of the window lengths start..start+_BLOCK_LEN-1, one row each.
+
+    Each row holds rows 0..degree, then the norms, then the offsets (see
+    _LAYOUTS).  Every value is computed as a Python float would compute it
+    for its own length, in the same order: integers are exact before their
+    one conversion to float, and numpy's float64 + - * / round exactly as
+    Python's do, so a row's bits do not depend on the block it came from.
+    Lengths below ``degree`` are computed too and never handed out.
+    """
+    stop = start + _BLOCK_LEN
+    if stop <= _INT64_LEN_CAP:
+        n = np.arange(start, stop, dtype=np.int64)
+    else:
+        n = np.array(range(start, stop), dtype=object)
+    half = n.astype(float) / 2.0
+    mm = (n + 1) * (n + 1)
+    # Python floats overflow to inf (and inf - inf to nan) without a word.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # b_0..b_{K-1} of the three-term recursion.
+        offsets = [
+            (k * k * (mm - k * k)).astype(float) / (4.0 * (4 * k * k - 1)) for k in range(degree)
+        ]
+        # p_{k+1} = x*p_k - (N/2)*p_k - b_k*p_{k-1}, in power-coefficient form.
+        prev, cur = [], [1.0]
+        rows = [cur]
+        for b in offsets:
+            new = [low - half * c for low, c in zip([0.0, *cur], cur)]
+            for j, p in enumerate(prev):
+                new[j] -= b * p
+            new.append(1.0)
+            prev, cur = cur, new
+            rows.append(cur)
+        # ||p_k||^2: each product runs left to right from n+1-k, the order its bits depend on.
+        points = {i: (n + (1 + i)).astype(float) for i in range(-degree, degree + 1)}
+        norms = []
+        for k, factor in enumerate(_NORM_FACTORS[: degree + 1]):
+            prod = 1.0
+            for i in range(-k, k + 1):
+                prod = prod * points[i]
+            norms.append(factor * prod)
+    columns = [*(c for row in rows for c in row), *norms, *offsets]
+    packed = np.stack(np.broadcast_arrays(*columns), axis=1)
+    packed.flags.writeable = False
+    return packed
+
+
+def _unpack(row: np.ndarray, n: int, degree: int) -> OrthoBasis:
+    parts = _LAYOUTS[degree](tuple(row.tolist()))
+    return OrthoBasis(n, degree, parts[:-2], parts[-2], parts[-1])
+
+
+# degree -> (its first block, the bases drawn from it so far by length)
+_first_blocks: dict[int, tuple[np.ndarray, list[OrthoBasis | None]]] = {}
+# degree -> {block start: block}, least recently used first.  Each step on
+# these tables is one dict or list operation, so threads sharing them at
+# worst build a block twice or keep an extra one until the next eviction.
+_long_blocks: dict[int, dict[int, np.ndarray]] = {}
+
+
 def build_basis(window_len: int, degree: int) -> OrthoBasis:
-    """Construct the basis for the grid 0..window_len up to ``degree``."""
+    """The basis for the grid 0..window_len up to ``degree``.
+
+    Lengths below _BLOCK_LEN return a shared instance.  The tables behind it
+    are filled on first use, never at import.
+    """
     _check_degree(degree)
     if not isinstance(window_len, (int, np.integer)) or isinstance(window_len, bool):
         raise InvalidConfigError(f"window_len must be an integer, got {window_len!r}")
@@ -152,28 +241,25 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
         raise InvalidConfigError(
             f"degree {degree} needs at least {degree + 1} points, grid has {window_len + 1}"
         )
-    n = int(window_len)
-    k_max = int(degree)
-    half = n / 2.0
-    mm = (n + 1) * (n + 1)
-    # b_0..b_{K-1} of the three-term recursion.
-    offsets = [k * k * (mm - k * k) / (4.0 * (4 * k * k - 1)) for k in range(k_max)]
-    # p_{k+1} = x*p_k - (N/2)*p_k - b_k*p_{k-1}, in power-coefficient form.
-    prev, cur = [], [1.0]
-    rows = [cur]
-    for b in offsets:
-        new = [low - half * c for low, c in zip([0.0, *cur], cur)]
-        for j, p in enumerate(prev):
-            new[j] -= b * p
-        new.append(1.0)
-        prev, cur = cur, new
-        rows.append(cur)
-    # Each product runs left to right from n+1-k, the order its bits depend on.
-    norms = [
-        factor * math.prod(range(n + 1 - k, n + 2 + k), start=1.0)
-        for k, factor in enumerate(_NORM_FACTORS[: k_max + 1])
-    ]
-    return OrthoBasis(window_len=n, degree=k_max, rows=rows, norms=norms, offsets=offsets)
+    n, k = int(window_len), int(degree)
+    if n < _BLOCK_LEN:
+        first = _first_blocks.get(k)
+        if first is None:
+            first = _first_blocks.setdefault(k, (_build_block(0, k), [None] * _BLOCK_LEN))
+        packed, bases = first
+        basis = bases[n]
+        if basis is None:
+            basis = bases[n] = _unpack(packed[n], n, k)
+        return basis
+    start = n - n % _BLOCK_LEN
+    blocks = _long_blocks.setdefault(k, {})
+    packed = blocks.pop(start, None)
+    if packed is None:
+        packed = _build_block(start, k)
+        for old in list(blocks)[: len(blocks) + 1 - _LONG_BLOCKS_KEPT]:
+            blocks.pop(old, None)
+    blocks[start] = packed
+    return _unpack(packed[n - start], n, k)
 
 
 @dataclass(frozen=True)

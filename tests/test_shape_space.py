@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fcpd import shape_space
 from fcpd import (
     InsufficientDataError,
     InvalidConfigError,
     InvalidDataError,
     MAX_DEGREE,
+    SegmentationConfig,
+    SegmentStream,
     ShapeVector,
     SlopeSignMode,
     build_basis,
@@ -143,6 +150,176 @@ def test_basis_bits_match_the_numpy_construction():
             coeffs, norms = _numpy_basis(n, k_max)
             assert basis.power_coeffs.tobytes() == coeffs.tobytes(), (n, k_max)
             assert basis.sq_norms.tobytes() == norms.tobytes(), (n, k_max)
+
+
+# (k!)^4 / ((2k)! (2k+1)!), the constant factor of ||p_k||^2.
+_SCALAR_NORM_FACTORS = tuple(
+    float(math.factorial(k)) ** 4 / float(math.factorial(2 * k) * math.factorial(2 * k + 1))
+    for k in range(MAX_DEGREE + 1)
+)
+
+
+def _scalar_build_basis(n: int, k_max: int) -> tuple[list, list, list]:
+    """The earlier one-length-at-a-time body of build_basis, kept as a bit reference.
+
+    Python ints stay exact however long the grid, so this holds where a
+    fixed-width integer would overflow.
+    """
+    half = n / 2.0
+    mm = (n + 1) * (n + 1)
+    offsets = [k * k * (mm - k * k) / (4.0 * (4 * k * k - 1)) for k in range(k_max)]
+    prev, cur = [], [1.0]
+    rows = [cur]
+    for b in offsets:
+        new = [low - half * c for low, c in zip([0.0, *cur], cur)]
+        for j, p in enumerate(prev):
+            new[j] -= b * p
+        new.append(1.0)
+        prev, cur = cur, new
+        rows.append(cur)
+    norms = [
+        factor * math.prod(range(n + 1 - k, n + 2 + k), start=1.0)
+        for k, factor in enumerate(_SCALAR_NORM_FACTORS[: k_max + 1])
+    ]
+    return rows, norms, offsets
+
+
+def _basis_bytes(rows, norms, offsets) -> tuple[bytes, ...]:
+    flat = [v for row in rows for v in row]
+    return tuple(np.array(values, dtype=float).tobytes() for values in (flat, norms, offsets))
+
+
+# Block edges, and lengths where k^2 ((n+1)^2 - k^2) no longer fits in int64.
+_BLOCK_EDGES = [1_023, 1_024, 1_025, 2_047, 2_048]
+_LARGE_LENGTHS = [10**7, 3 * 10**8, 10**9, 2**31, 4 * 10**9]
+
+
+@pytest.mark.parametrize("k_max", range(MAX_DEGREE + 1))
+def test_basis_bits_match_the_scalar_construction(k_max):
+    for n in [*range(k_max, 3_001), *_BLOCK_EDGES, *_LARGE_LENGTHS]:
+        basis = build_basis(n, k_max)
+        assert basis.window_len == n and basis.degree == k_max
+        want = _basis_bytes(*_scalar_build_basis(n, k_max))
+        assert _basis_bytes(basis.rows, basis.norms, basis.offsets) == want, (n, k_max)
+
+
+def test_long_blocks_kept_per_degree_are_bounded():
+    # Earlier tests may have filled the table already; the bound holds either way.
+    for start in range(1, 6):
+        build_basis(start * 1_024 + 3, 6)
+        assert len(shape_space._long_blocks[6]) <= shape_space._LONG_BLOCKS_KEPT
+    kept = [4 * 1_024, 5 * 1_024][-shape_space._LONG_BLOCKS_KEPT :]
+    assert list(shape_space._long_blocks[6]) == kept
+
+
+def test_threads_sharing_the_table_get_the_scalar_bits():
+    want = {(n, k): _basis_bytes(*_scalar_build_basis(n, k)) for n in range(9, 6_000, 37) for k in (3, 9)}
+    failures = []
+
+    def work(seed: int) -> None:
+        order = list(want)
+        random.Random(seed).shuffle(order)
+        try:
+            for n, k in order:
+                basis = build_basis(n, k)
+                if _basis_bytes(basis.rows, basis.norms, basis.offsets) != want[n, k]:
+                    failures.append((n, k))
+        except Exception as exc:  # reported below, with the thread's inputs
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_a_basis_returned_twice_cannot_be_changed():
+    for n in (100, 5_000):  # a first-block length and a longer one
+        first, second = build_basis(n, 4), build_basis(n, 4)
+        for basis in (first, second):
+            for name in ("rows", "norms", "offsets"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(basis, name, ())
+            for values in (basis.rows, basis.rows[2], basis.norms, basis.offsets):
+                with pytest.raises(TypeError):
+                    values[0] = 0.0
+        want = _basis_bytes(*_scalar_build_basis(n, 4))
+        assert _basis_bytes(second.rows, second.norms, second.offsets) == want
+        assert build_basis(n, 4) == second
+
+
+def test_a_warm_table_still_validates():
+    # hash(5.0) == hash(5) == hash(True + 4): a lookup before validation
+    # would serve these from the table.
+    for n in (5, 1, 5_000):
+        build_basis(n, 1)
+    for bad in (True, 5.0, -1, 5_000.0, np.float64(5.0)):
+        with pytest.raises(InvalidConfigError):
+            build_basis(bad, 1)
+    for bad in (True, 1.0, -1):
+        with pytest.raises(InvalidConfigError):
+            build_basis(5, bad)
+    build_basis(5, 5)
+    with pytest.raises(InvalidConfigError):
+        build_basis(4, 5)  # degree > window_len
+
+
+def _segments(stream: SegmentStream) -> list[tuple]:
+    return [
+        (s.start, s.end, s.closed_by, None if s.alpha is None else s.alpha.alpha.tobytes())
+        for s in stream.result().segments
+    ]
+
+
+def _pushed_alone(series: list[float], config: SegmentationConfig) -> list[tuple]:
+    stream = SegmentStream(config)
+    for value in series:
+        stream.push(value)
+    return _segments(stream)
+
+
+def _level_shift_series(seed: int, n: int) -> list[float]:
+    # Quiet noise with a few large level shifts: windows grow past 2 048.
+    rng = np.random.default_rng(seed)
+    levels = np.repeat(rng.uniform(-60.0, 60.0, size=4), n // 4 + 1)[:n]
+    return (levels + rng.normal(size=n)).tolist()
+
+
+@pytest.mark.parametrize(
+    "degrees,lead",
+    [((3, 8), 0), ((5, 5), 1_100)],
+    ids=["two-degrees", "one-degree-two-blocks"],
+)
+def test_streams_sharing_the_table_match_streams_alone(degrees, lead):
+    series = _level_shift_series(29, 9_000)
+    configs = [SegmentationConfig(degree=k, th_dpu=8.0) for k in degrees]
+    alone = [_pushed_alone(series, config) for config in configs]
+
+    streams = [SegmentStream(config) for config in configs]
+    fed = [0, 0]
+    for value in series[:lead]:  # the second stream runs ahead by ``lead`` samples
+        streams[1].push(value)
+    fed[1] = lead
+    blocks_seen = set()
+    rng = np.random.default_rng(31)
+    while fed[0] < len(series) or fed[1] < len(series):
+        for i, stream in enumerate(streams):
+            chunk = int(rng.integers(1, 400))
+            for value in series[fed[i] : fed[i] + chunk]:
+                stream.push(value)
+            fed[i] = min(fed[i] + chunk, len(series))
+        blocks_seen.add(tuple(stream.state.count // 1_024 for stream in streams))
+    assert [_segments(stream) for stream in streams] == alone
+    # Both windows were past the first block at once, in different blocks.
+    assert any(min(pair) >= 1 and pair[0] != pair[1] for pair in blocks_seen)
 
 
 def test_basis_holds_floats_and_read_only_arrays():
