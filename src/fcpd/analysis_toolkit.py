@@ -92,6 +92,8 @@ def kmeans_points(
         raise InvalidConfigError(f"k must be an integer >= 1, got {k!r}")
     if k > pts.shape[0]:
         raise InvalidConfigError(f"k={k} exceeds the {pts.shape[0]} available points")
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
+        raise InvalidConfigError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
     try:
@@ -173,8 +175,8 @@ def sensitivity_bounds(scores, top_n: int = 3, segment_count: int | None = None)
         raise InvalidDataError("sensitivity_bounds needs at least one score")
     if any(not math.isfinite(v) for v in values):
         raise InvalidDataError("scores must be finite")
-    if top_n < 1:
-        raise InvalidConfigError(f"top_n must be >= 1, got {top_n}")
+    if not isinstance(top_n, int) or isinstance(top_n, bool) or top_n < 1:
+        raise InvalidConfigError(f"top_n must be an integer >= 1, got {top_n!r}")
     ordered = sorted(values, reverse=True)
     upper = ordered[:top_n]
     lower = ordered[-top_n:]

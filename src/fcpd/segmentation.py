@@ -26,6 +26,7 @@ from .shape_space import (
     ShapeVector,
     SlopeSignMode,
     WindowState,
+    check_slope_options,
     validate_series,
     window_grow,
     window_init,
@@ -79,12 +80,7 @@ class SegmentationConfig:
                 raise InvalidConfigError(f"th_sss must be an integer, got {self.th_sss!r}")
             if self.th_sss < 0:
                 raise InvalidConfigError(f"th_sss must be >= 0, got {self.th_sss}")
-        if not isinstance(self.sss_mode, SlopeSignMode):
-            raise InvalidConfigError(f"sss_mode must be a SlopeSignMode, got {self.sss_mode!r}")
-        if not math.isfinite(self.sss_deadband) or self.sss_deadband < 0:
-            raise InvalidConfigError(
-                f"sss_deadband must be finite and >= 0, got {self.sss_deadband}"
-            )
+        check_slope_options(self.sss_mode, self.sss_deadband)
         floor = max(2, self.degree + 1)
         if self.min_segment_len is not None:
             if not isinstance(self.min_segment_len, int) or isinstance(self.min_segment_len, bool):

@@ -31,7 +31,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -143,12 +143,11 @@ def _fitted(alpha, x: float, window_len: int, offsets) -> float:
 
 
 # Bases are built in blocks of _BLOCK_LEN consecutive window lengths, one
-# numpy pass per block.  Each degree keeps its first block (lengths
-# 0.._BLOCK_LEN-1), and every basis drawn from it, for the life of the
-# process; longer lengths come from the _LONG_BLOCKS_KEPT blocks of that
-# degree used most recently, and get a fresh OrthoBasis on each call.
+# numpy pass per block, and the _BLOCKS_KEPT blocks used most recently are
+# kept.  Every basis of a length below _BLOCK_LEN is kept for the life of the
+# process; longer lengths get a fresh OrthoBasis on each call.
 _BLOCK_LEN = 1024
-_LONG_BLOCKS_KEPT = 2
+_BLOCKS_KEPT = 3
 # Up to this n + 1, k^2 (n+1)^2 fits in int64 for every k <= MAX_DEGREE;
 # blocks reaching past it do their integer arithmetic in Python ints.
 _INT64_LEN_CAP = math.isqrt((2**63 - 1) // MAX_DEGREE**2)
@@ -166,6 +165,7 @@ def _packed_layout(degree: int) -> operator.itemgetter:
 _LAYOUTS = tuple(_packed_layout(degree) for degree in range(MAX_DEGREE + 1))
 
 
+@lru_cache(maxsize=_BLOCKS_KEPT)
 def _build_block(start: int, degree: int) -> np.ndarray:
     """Packed bases of the window lengths start..start+_BLOCK_LEN-1, one row each.
 
@@ -218,19 +218,16 @@ def _unpack(row: np.ndarray, n: int, degree: int) -> OrthoBasis:
     return OrthoBasis(n, degree, parts[:-2], parts[-2], parts[-1])
 
 
-# degree -> (its first block, the bases drawn from it so far by length)
-_first_blocks: dict[int, tuple[np.ndarray, list[OrthoBasis | None]]] = {}
-# degree -> {block start: block}, least recently used first.  Each step on
-# these tables is one dict or list operation, so threads sharing them at
-# worst build a block twice or keep an extra one until the next eviction.
-_long_blocks: dict[int, dict[int, np.ndarray]] = {}
+@cache
+def _short_basis(n: int, degree: int) -> OrthoBasis:
+    return _unpack(_build_block(0, degree)[n], n, degree)
 
 
 def build_basis(window_len: int, degree: int) -> OrthoBasis:
     """The basis for the grid 0..window_len up to ``degree``.
 
-    Lengths below _BLOCK_LEN return a shared instance.  The tables behind it
-    are filled on first use, never at import.
+    Lengths below _BLOCK_LEN return a shared instance.  The caches behind it
+    fill on first use, never at import.
     """
     _check_degree(degree)
     if not isinstance(window_len, (int, np.integer)) or isinstance(window_len, bool):
@@ -243,23 +240,9 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
         )
     n, k = int(window_len), int(degree)
     if n < _BLOCK_LEN:
-        first = _first_blocks.get(k)
-        if first is None:
-            first = _first_blocks.setdefault(k, (_build_block(0, k), [None] * _BLOCK_LEN))
-        packed, bases = first
-        basis = bases[n]
-        if basis is None:
-            basis = bases[n] = _unpack(packed[n], n, k)
-        return basis
+        return _short_basis(n, k)
     start = n - n % _BLOCK_LEN
-    blocks = _long_blocks.setdefault(k, {})
-    packed = blocks.pop(start, None)
-    if packed is None:
-        packed = _build_block(start, k)
-        for old in list(blocks)[: len(blocks) + 1 - _LONG_BLOCKS_KEPT]:
-            blocks.pop(old, None)
-    blocks[start] = packed
-    return _unpack(packed[n - start], n, k)
+    return _unpack(_build_block(start, k)[n - start], n, k)
 
 
 @dataclass(frozen=True)
@@ -350,6 +333,14 @@ class SlopeSignMode(enum.Enum):
     FIRST_DIFF_SIGN = "first-diff"
 
 
+def check_slope_options(sss_mode, sss_deadband) -> None:
+    """Reject a slope mode that is not a SlopeSignMode and a negative or non-finite deadband."""
+    if not isinstance(sss_mode, SlopeSignMode):
+        raise InvalidConfigError(f"sss_mode must be a SlopeSignMode, got {sss_mode!r}")
+    if not math.isfinite(sss_deadband) or sss_deadband < 0:
+        raise InvalidConfigError(f"sss_deadband must be finite and >= 0, got {sss_deadband}")
+
+
 def _sign_with_deadband(value: float, deadband: float) -> int:
     if value > deadband:
         return 1
@@ -391,10 +382,7 @@ def window_init(
 ) -> WindowState:
     """Fresh empty window whose first absorbed sample sits at ``start_index``."""
     _check_degree(degree)
-    if not isinstance(sss_mode, SlopeSignMode):
-        raise InvalidConfigError(f"sss_mode must be a SlopeSignMode, got {sss_mode!r}")
-    if not math.isfinite(sss_deadband) or sss_deadband < 0:
-        raise InvalidConfigError(f"sss_deadband must be finite and >= 0, got {sss_deadband}")
+    check_slope_options(sss_mode, sss_deadband)
     return WindowState(
         start_index=int(start_index),
         degree=int(degree),

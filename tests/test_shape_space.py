@@ -203,13 +203,18 @@ def test_basis_bits_match_the_scalar_construction(k_max):
         assert _basis_bytes(basis.rows, basis.norms, basis.offsets) == want, (n, k_max)
 
 
-def test_long_blocks_kept_per_degree_are_bounded():
-    # Earlier tests may have filled the table already; the bound holds either way.
+def test_kept_blocks_are_bounded_and_short_bases_stay_shared():
+    # Earlier tests may have filled the caches already; the bound holds either way.
+    short = build_basis(100, 6)
     for start in range(1, 6):
         build_basis(start * 1_024 + 3, 6)
-        assert len(shape_space._long_blocks[6]) <= shape_space._LONG_BLOCKS_KEPT
-    kept = [4 * 1_024, 5 * 1_024][-shape_space._LONG_BLOCKS_KEPT :]
-    assert list(shape_space._long_blocks[6]) == kept
+        assert shape_space._build_block.cache_info().currsize <= shape_space._BLOCKS_KEPT
+    hits = shape_space._build_block.cache_info().hits
+    build_basis(5 * 1_024 + 4, 6)  # the block used last is still kept
+    assert shape_space._build_block.cache_info().hits == hits + 1
+    assert build_basis(100, 6) is short
+    want = _basis_bytes(*_scalar_build_basis(100, 6))
+    assert _basis_bytes(short.rows, short.norms, short.offsets) == want
 
 
 def test_threads_sharing_the_table_get_the_scalar_bits():
