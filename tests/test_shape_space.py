@@ -205,16 +205,17 @@ def test_basis_bits_match_the_scalar_construction(k_max):
 
 def test_kept_blocks_are_bounded_and_short_bases_stay_shared():
     # Earlier tests may have filled the caches already; the bound holds either way.
-    short = build_basis(100, 6)
+    short = {n: build_basis(n, 6) for n in range(6, 1_024)}
     for start in range(1, 6):
         build_basis(start * 1_024 + 3, 6)
         assert shape_space._build_block.cache_info().currsize <= shape_space._BLOCKS_KEPT
     hits = shape_space._build_block.cache_info().hits
     build_basis(5 * 1_024 + 4, 6)  # the block used last is still kept
     assert shape_space._build_block.cache_info().hits == hits + 1
-    assert build_basis(100, 6) is short
-    want = _basis_bytes(*_scalar_build_basis(100, 6))
-    assert _basis_bytes(short.rows, short.norms, short.offsets) == want
+    for n, basis in short.items():
+        assert build_basis(n, 6) is basis, n
+        want = _basis_bytes(*_scalar_build_basis(n, 6))
+        assert _basis_bytes(basis.rows, basis.norms, basis.offsets) == want, n
 
 
 def test_threads_sharing_the_table_get_the_scalar_bits():
