@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidDataError
+from .errors import InvalidConfigError, InvalidDataError, check_int, check_real
 from .segmentation import Segmentation
 
 
@@ -88,17 +88,17 @@ def kmeans_points(
         raise InvalidDataError(f"expected a non-empty 2-D point array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InvalidDataError("points must be finite")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidConfigError(f"k must be an integer >= 1, got {k!r}")
+    check_int("k", k, 1)
+    check_int("seed", seed, 0)
     if k > pts.shape[0]:
         raise InvalidConfigError(f"k={k} exceeds the {pts.shape[0]} available points")
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        raise InvalidConfigError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    check_int("n_init", n_init, 1)
+    check_int("max_iter", max_iter, 1)
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for _ in range(max(1, n_init)):
+            for _ in range(n_init):
                 centers = _kmeans_plus_plus(pts, k, rng)
                 labels, centers, inertia, history = _lloyd(pts, centers.copy(), max_iter)
                 if best is None or inertia < best[2]:
@@ -120,8 +120,7 @@ def kmeans_segments(
     segs = segments.segments if isinstance(segments, Segmentation) else tuple(segments)
     a, b = feature_pair
     for order in (a, b):
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise InvalidConfigError(f"feature_pair entries must be integers >= 0, got {feature_pair!r}")
+        check_int("feature_pair entry", order, 0)
     usable = [s for s in segs if s.alpha is not None]
     excluded = tuple(s.index for s in segs if s.alpha is None)
     if not usable:
@@ -168,15 +167,17 @@ def sensitivity_bounds(scores, top_n: int = 3, segment_count: int | None = None)
     """Upper/lower score bounds: means of the best and worst top_n scores.
 
     With fewer than top_n scores, whatever exists is averaged and the counts
-    say so.  segment_count defaults to the number of scores.
+    say so.  segment_count, at least the number of scores, defaults to it.
     """
     values = [float(s) for s in scores]
     if not values:
         raise InvalidDataError("sensitivity_bounds needs at least one score")
     if any(not math.isfinite(v) for v in values):
         raise InvalidDataError("scores must be finite")
-    if not isinstance(top_n, int) or isinstance(top_n, bool) or top_n < 1:
-        raise InvalidConfigError(f"top_n must be an integer >= 1, got {top_n!r}")
+    check_int("top_n", top_n, 1)
+    if segment_count is not None:
+        # Scores come from segments, so there are at least as many segments.
+        check_int("segment_count", segment_count, len(values))
     ordered = sorted(values, reverse=True)
     upper = ordered[:top_n]
     lower = ordered[-top_n:]
@@ -289,10 +290,9 @@ def generate_cycle(
     draw order is fixed (anomalies in the given order), so output is
     deterministic under the seed.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidConfigError(f"n must be an integer >= 1, got {n!r}")
-    if not period > 0:
-        raise InvalidConfigError(f"period must be > 0, got {period}")
+    check_int("n", n, 1)
+    check_real("period", period, 0)
+    check_int("seed", seed, 0)
     x = np.arange(n)
     series = math.sqrt(2.0) * np.sin(2.0 * math.pi * x / period)
     rng = np.random.default_rng(seed)

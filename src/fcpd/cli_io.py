@@ -33,8 +33,9 @@ from .errors import (
     InvalidConfigError,
     InvalidDataError,
     MissingFeatureError,
+    check_real,
 )
-from .features import _check_epsilon, build_records, resolve_feature_name
+from .features import build_records, resolve_feature_name
 from .fuzzy_inference import FisConfig, infer
 from .query_dsl import QueryError, parse, to_fis
 from .segmentation import (
@@ -164,7 +165,7 @@ class RunConfig:
             name: resolve_feature_name(name, self.segmentation.degree, self.delay)
             for name in fis.input_variables_referenced()
         }
-        _check_epsilon(self.epsilon)
+        check_real("epsilon", self.epsilon, 0)
         return fis, key_map
 
 

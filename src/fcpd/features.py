@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidConfigError, MissingFeatureError
+from .errors import InvalidConfigError, MissingFeatureError, check_int, check_real
 from .segmentation import Segment, Segmentation
 
 # Alias -> canonical name; {d} is the run's delay.
@@ -56,16 +56,6 @@ def _as_segments(segments) -> tuple[Segment, ...]:
     return tuple(segments)
 
 
-def _check_delay(d: int) -> None:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise InvalidConfigError(f"delay must be an integer >= 1, got {d!r}")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not epsilon > 0:
-        raise InvalidConfigError(f"epsilon must be > 0, got {epsilon}")
-
-
 def _variations(
     values: Sequence[float | None], d: int, epsilon: float
 ) -> list[float | None]:
@@ -85,8 +75,7 @@ def _variations(
 def coefficient_feature(segments, k: int) -> list[float | None]:
     """alpha_k of each segment; None for segments without a coefficient vector."""
     segs = _as_segments(segments)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidConfigError(f"coefficient order must be an integer >= 0, got {k!r}")
+    check_int("coefficient order", k, 0)
     degrees = [s.alpha.degree for s in segs if s.alpha is not None]
     if degrees and k > max(degrees):
         raise InvalidConfigError(
@@ -99,22 +88,22 @@ def variation_feature(
     segments, k: int, d: int = 1, epsilon: float = 1e-9
 ) -> list[float | None]:
     """Relative change of alpha_k over a delay of d segments, attached to the later one."""
-    _check_delay(d)
-    _check_epsilon(epsilon)
+    check_int("delay", d, 1)
+    check_real("epsilon", epsilon, 0)
     return _variations(coefficient_feature(segments, k), d, epsilon)
 
 
 def size_features(segments, d: int = 1) -> tuple[list[float], list[float | None]]:
     """Segment sample counts and their relative variations at delay d."""
-    _check_delay(d)
+    check_int("delay", d, 1)
     sizes = [float(s.length) for s in _as_segments(segments)]
     return sizes, _variations(sizes, d, 1e-9)
 
 
 def build_records(segments, d: int = 1, epsilon: float = 1e-9) -> list[FeatureRecord]:
     """All features of every segment, keyed by canonical feature names."""
-    _check_delay(d)
-    _check_epsilon(epsilon)
+    check_int("delay", d, 1)
+    check_real("epsilon", epsilon, 0)
     segs = _as_segments(segments)
     degrees = [s.alpha.degree for s in segs if s.alpha is not None]
     degree = max(degrees) if degrees else -1
@@ -142,7 +131,7 @@ def resolve_feature_name(name: str, degree: int, d: int = 1) -> str:
     canonical names as-is; raises MissingFeatureError when the name cannot
     exist for the given fit degree or materialized delay.
     """
-    _check_delay(d)
+    check_int("delay", d, 1)
     key = _ALIASES[name].format(d=d) if name in _ALIASES else name
     match = _CANONICAL_RE.match(key)
     if match is None:

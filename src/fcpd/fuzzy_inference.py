@@ -15,7 +15,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidDataError, MissingFeatureError
+from .errors import InvalidConfigError, InvalidDataError, MissingFeatureError, check_int
 
 _MF_ARITY = {"tri": 3, "trap": 4, "gauss": 2, "zmf": 2, "smf": 2}
 
@@ -220,10 +220,7 @@ class FisConfig:
         object.__setattr__(self, "rules", tuple(self.rules))
         if not self.rules:
             raise InvalidConfigError("an inference system needs at least one rule")
-        if not isinstance(self.resolution, int) or isinstance(self.resolution, bool):
-            raise InvalidConfigError(f"resolution must be an integer, got {self.resolution!r}")
-        if self.resolution < 2:
-            raise InvalidConfigError(f"resolution must be >= 2, got {self.resolution}")
+        check_int("resolution", self.resolution, 2)
         names = [v.name for v in self.inputs]
         if len(set(names)) != len(names):
             raise InvalidConfigError(f"duplicate input variable names in {names}")

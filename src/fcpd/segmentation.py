@@ -16,11 +16,10 @@ disjunctive; configure one or both thresholds.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import InsufficientDataError, InvalidConfigError
+from .errors import InsufficientDataError, InvalidConfigError, check_int, check_real
 from .shape_space import (
     MAX_DEGREE,
     ShapeVector,
@@ -64,34 +63,16 @@ class SegmentationConfig:
     tail_policy: TailPolicy = TailPolicy.EMIT_FLAGGED
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool):
-            raise InvalidConfigError(f"degree must be an integer, got {self.degree!r}")
-        if self.degree < 0 or self.degree > MAX_DEGREE:
-            raise InvalidConfigError(
-                f"degree must be in 0..{MAX_DEGREE}, got {self.degree}"
-            )
+        check_int("degree", self.degree, 0, MAX_DEGREE)
         if self.th_dpu is None and self.th_sss is None:
             raise InvalidConfigError("at least one of th_dpu, th_sss must be set")
         if self.th_dpu is not None:
-            if not math.isfinite(self.th_dpu) or self.th_dpu <= 0:
-                raise InvalidConfigError(f"th_dpu must be finite and > 0, got {self.th_dpu}")
+            check_real("th_dpu", self.th_dpu, 0)
         if self.th_sss is not None:
-            if not isinstance(self.th_sss, int) or isinstance(self.th_sss, bool):
-                raise InvalidConfigError(f"th_sss must be an integer, got {self.th_sss!r}")
-            if self.th_sss < 0:
-                raise InvalidConfigError(f"th_sss must be >= 0, got {self.th_sss}")
+            check_int("th_sss", self.th_sss, 0)
         check_slope_options(self.sss_mode, self.sss_deadband)
-        floor = max(2, self.degree + 1)
         if self.min_segment_len is not None:
-            if not isinstance(self.min_segment_len, int) or isinstance(self.min_segment_len, bool):
-                raise InvalidConfigError(
-                    f"min_segment_len must be an integer, got {self.min_segment_len!r}"
-                )
-            if self.min_segment_len < floor:
-                raise InvalidConfigError(
-                    f"min_segment_len must be >= {floor} for degree {self.degree}, "
-                    f"got {self.min_segment_len}"
-                )
+            check_int("min_segment_len", self.min_segment_len, max(2, self.degree + 1))
         if not isinstance(self.tail_policy, TailPolicy):
             raise InvalidConfigError(f"tail_policy must be a TailPolicy, got {self.tail_policy!r}")
 
@@ -155,9 +136,7 @@ class SegmentStream:
         self._trigger = trigger
         self._segments: list[Segment] = []
         self._finished = False
-        self._state = window_init(
-            int(start_index), config.degree, config.sss_mode, config.sss_deadband
-        )
+        self._state = window_init(start_index, config.degree, config.sss_mode, config.sss_deadband)
 
     @property
     def config(self) -> SegmentationConfig:

@@ -35,7 +35,7 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidConfigError, InvalidDataError
+from .errors import InsufficientDataError, InvalidConfigError, InvalidDataError, check_int, check_real
 
 MAX_DEGREE = 10
 
@@ -54,15 +54,6 @@ def validate_series(values) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise InvalidDataError(f"non-finite value at position {bad}")
     return arr
-
-
-def _check_degree(degree: int) -> None:
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
-        raise InvalidConfigError(f"degree must be an integer, got {degree!r}")
-    if degree < 0:
-        raise InvalidConfigError(f"degree must be >= 0, got {degree}")
-    if degree > MAX_DEGREE:
-        raise InvalidConfigError(f"degree {degree} exceeds the supported cap {MAX_DEGREE}")
 
 
 # (k!)^4 / ((2k)! (2k+1)!), the constant factor of ||p_k||^2.
@@ -229,16 +220,10 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
     Lengths below _BLOCK_LEN return a shared instance.  The caches behind it
     fill on first use, never at import.
     """
-    _check_degree(degree)
-    if not isinstance(window_len, (int, np.integer)) or isinstance(window_len, bool):
-        raise InvalidConfigError(f"window_len must be an integer, got {window_len!r}")
-    if window_len < 0:
-        raise InvalidConfigError(f"window_len must be >= 0, got {window_len}")
-    if degree > window_len:
-        raise InvalidConfigError(
-            f"degree {degree} needs at least {degree + 1} points, grid has {window_len + 1}"
-        )
-    n, k = int(window_len), int(degree)
+    k = check_int("degree", degree, 0, MAX_DEGREE)
+    n = check_int("window_len", window_len, 0)
+    if k > n:
+        raise InvalidConfigError(f"degree {k} needs at least {k + 1} points, grid has {n + 1}")
     if n < _BLOCK_LEN:
         return _short_basis(n, k)
     start = n - n % _BLOCK_LEN
@@ -295,7 +280,7 @@ def fit(window, degree: int) -> ShapeVector:
     at local position x = n.
     """
     y = validate_series(window)
-    _check_degree(degree)
+    degree = check_int("degree", degree, 0, MAX_DEGREE)
     if y.size < degree + 1:
         raise InsufficientDataError(
             f"degree {degree} needs at least {degree + 1} samples, got {y.size}"
@@ -337,8 +322,7 @@ def check_slope_options(sss_mode, sss_deadband) -> None:
     """Reject a slope mode that is not a SlopeSignMode and a negative or non-finite deadband."""
     if not isinstance(sss_mode, SlopeSignMode):
         raise InvalidConfigError(f"sss_mode must be a SlopeSignMode, got {sss_mode!r}")
-    if not math.isfinite(sss_deadband) or sss_deadband < 0:
-        raise InvalidConfigError(f"sss_deadband must be finite and >= 0, got {sss_deadband}")
+    check_real("sss_deadband", sss_deadband, 0, strict=False)
 
 
 def _sign_with_deadband(value: float, deadband: float) -> int:
@@ -381,11 +365,11 @@ def window_init(
     sss_deadband: float = 0.01,
 ) -> WindowState:
     """Fresh empty window whose first absorbed sample sits at ``start_index``."""
-    _check_degree(degree)
+    degree = check_int("degree", degree, 0, MAX_DEGREE)
     check_slope_options(sss_mode, sss_deadband)
     return WindowState(
-        start_index=int(start_index),
-        degree=int(degree),
+        start_index=check_int("start_index", start_index, 0),
+        degree=degree,
         sss_mode=sss_mode,
         sss_deadband=float(sss_deadband),
         moments=[0.0] * (degree + 1),

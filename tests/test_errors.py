@@ -1,0 +1,134 @@
+"""One rule for integer options and real thresholds, at every entry point
+that takes one (fcpd.errors.check_int and check_real)."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from fcpd import (
+    InvalidConfigError,
+    RunConfig,
+    SegmentationConfig,
+    SegmentStream,
+    build_basis,
+    build_records,
+    coefficient_feature,
+    fit,
+    generate_cycle,
+    kmeans_points,
+    kmeans_segments,
+    parse,
+    resolve_feature_name,
+    segment_series,
+    sensitivity_bounds,
+    size_features,
+    to_fis,
+    variation_feature,
+    window_init,
+)
+
+RULES = """
+var average [-2, 2] { zero: gauss(0, 0.25) }
+var score [0, 1] { high: tri(0.6, 1, 1.4) }
+IF (average is zero), THEN (score is high)
+"""
+CONFIG = SegmentationConfig(degree=2, th_dpu=0.05)
+SEGMENTS = segment_series(generate_cycle(n=400, period=50.0, anomalies=()), CONFIG)
+POINTS = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
+FIS = to_fis(parse(RULES))
+
+# (option name, entry point taking the value, a valid value, whether None means "unset")
+INTEGER_OPTIONS = [
+    ("degree", lambda v: build_basis(20, v), 2, False),
+    ("window_len", lambda v: build_basis(v, 2), 5, False),
+    ("degree", lambda v: fit(np.arange(10.0), v), 2, False),
+    ("degree", lambda v: window_init(0, v), 2, False),
+    ("start_index", lambda v: window_init(v, 2), 3, False),
+    ("start_index", lambda v: SegmentStream(CONFIG, start_index=v), 3, False),
+    ("degree", lambda v: SegmentationConfig(degree=v, th_dpu=1.0), 2, False),
+    ("th_sss", lambda v: SegmentationConfig(degree=2, th_sss=v), 1, True),
+    ("min_segment_len", lambda v: dataclasses.replace(CONFIG, min_segment_len=v), 4, True),
+    ("delay", lambda v: variation_feature(SEGMENTS, 0, d=v), 2, False),
+    ("delay", lambda v: size_features(SEGMENTS, d=v), 2, False),
+    ("delay", lambda v: build_records(SEGMENTS, d=v), 2, False),
+    ("delay", lambda v: resolve_feature_name("var_average", 2, v), 2, False),
+    ("coefficient order", lambda v: coefficient_feature(SEGMENTS, v), 1, False),
+    ("k", lambda v: kmeans_points(POINTS, v, seed=0), 2, False),
+    ("seed", lambda v: kmeans_points(POINTS, 2, seed=v), 7, False),
+    ("n_init", lambda v: kmeans_points(POINTS, 2, seed=0, n_init=v), 2, False),
+    ("max_iter", lambda v: kmeans_points(POINTS, 2, seed=0, max_iter=v), 5, False),
+    ("n_init", lambda v: kmeans_segments(SEGMENTS, 2, seed=0, n_init=v), 2, False),
+    ("feature_pair entry", lambda v: kmeans_segments(SEGMENTS, 2, 0, (v, 2)), 1, False),
+    ("top_n", lambda v: sensitivity_bounds([0.1, 0.5, 0.9], top_n=v), 2, False),
+    ("segment_count", lambda v: sensitivity_bounds([0.1, 0.5, 0.9], segment_count=v), 5, True),
+    ("n", lambda v: generate_cycle(n=v, anomalies=()), 50, False),
+    ("seed", lambda v: generate_cycle(n=50, seed=v, anomalies=()), 7, False),
+    ("resolution", lambda v: dataclasses.replace(FIS, resolution=v), 101, False),
+]
+
+# The same columns.
+REAL_THRESHOLDS = [
+    ("th_dpu", lambda v: SegmentationConfig(degree=2, th_sss=1, th_dpu=v), 0.5, True),
+    ("sss_deadband", lambda v: SegmentationConfig(2, th_sss=1, sss_deadband=v), 0.01, False),
+    ("sss_deadband", lambda v: window_init(0, 2, sss_deadband=v), 0.0, False),
+    ("epsilon", lambda v: variation_feature(SEGMENTS, 0, epsilon=v), 1e-9, False),
+    ("epsilon", lambda v: build_records(SEGMENTS, epsilon=v), 1e-9, False),
+    ("epsilon", lambda v: RunConfig(CONFIG, rules_text=RULES, epsilon=v).rules, 1e-9, False),
+    ("period", lambda v: generate_cycle(n=50, period=v, anomalies=()), 20.0, False),
+]
+
+
+def _ids(table):
+    return [f"{row[0]}-{i}" for i, row in enumerate(table)]
+
+
+@pytest.mark.parametrize("name, call, valid, optional", INTEGER_OPTIONS, ids=_ids(INTEGER_OPTIONS))
+def test_integer_options_take_integers_only(name, call, valid, optional):
+    call(valid)
+    call(np.int64(valid))
+    for bad in (True, 2.0, 1.5, "3", *(() if optional else (None,))):
+        with pytest.raises(InvalidConfigError, match=f"^{name} must be an integer "):
+            call(bad)
+
+
+@pytest.mark.parametrize(
+    "name, call, valid, optional", REAL_THRESHOLDS, ids=_ids(REAL_THRESHOLDS)
+)
+def test_real_thresholds_take_finite_numbers_only(name, call, valid, optional):
+    call(valid)
+    call(np.float64(valid))
+    nonsense = ("1", True, float("nan"), float("inf"), -float("inf"), 10**400)
+    for bad in (*nonsense, *(() if optional else (None,))):
+        with pytest.raises(InvalidConfigError, match=f"^{name} must be a finite number, got "):
+            call(bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_basis(20, 11), "degree must be an integer in 0..10, got 11"),
+        (lambda: window_init(-1, 2), "start_index must be an integer >= 0, got -1"),
+        (lambda: generate_cycle(n=50, seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda: kmeans_points(POINTS, 2, 0, n_init=0), "n_init must be an integer >= 1, got 0"),
+        (lambda: kmeans_points(POINTS, 2, 0, n_init=-3), "n_init must be an integer >= 1, got -3"),
+        (
+            lambda: sensitivity_bounds([0.1, 0.5, 0.9], segment_count=2),
+            "segment_count must be an integer >= 3, got 2",
+        ),
+        (
+            lambda: sensitivity_bounds([0.1, 0.5, 0.9], segment_count=-4),
+            "segment_count must be an integer >= 3, got -4",
+        ),
+        (lambda: SegmentationConfig(degree=2, th_dpu=0.0), "th_dpu must be > 0, got 0.0"),
+        (lambda: window_init(0, 2, sss_deadband=-0.1), "sss_deadband must be >= 0, got -0.1"),
+        (lambda: generate_cycle(n=50, period=-1), "period must be > 0, got -1"),
+    ],
+)
+def test_bounds_are_named_in_the_message(call, message):
+    with pytest.raises(InvalidConfigError) as info:
+        call()
+    assert str(info.value) == message
+
