@@ -1,11 +1,11 @@
 """On-line segmentation of a series into shape-homogeneous windows.
 
-A window grows one sample at a time.  After each absorbed sample the window's
-coefficient vector is refreshed and two closure criteria are checked once the
-window reaches its minimum length:
+A window grows one sample at a time.  After each absorbed sample two closure
+criteria are checked once the window reaches its minimum length:
 
-* DPU: the absolute deviation between the refreshed fit and the newest
-  sample exceeds th_dpu;
+* DPU: the absolute deviation between the window's fit and the newest
+  sample exceeds th_dpu (shape_space.deviation_exceeds decides it, running
+  the full fit only when its O(K) screen cannot);
 * SSS: the count of slope sign switches inside the window exceeds th_sss.
 
 Either criterion closes the segment at the triggering sample; the next
@@ -26,6 +26,7 @@ from .shape_space import (
     SlopeSignMode,
     WindowState,
     check_slope_options,
+    deviation_exceeds,
     validate_series,
     window_grow,
     window_init,
@@ -136,7 +137,15 @@ class SegmentStream:
         self._trigger = trigger
         self._segments: list[Segment] = []
         self._finished = False
-        self._state = window_init(start_index, config.degree, config.sss_mode, config.sss_deadband)
+        # Slope signs are only counted where something reads them.
+        self._track_slopes = config.th_sss is not None or trigger is not None
+        self._state = self._window(start_index)
+
+    def _window(self, start_index: int) -> WindowState:
+        cfg = self._config
+        return window_init(
+            start_index, cfg.degree, cfg.sss_mode, cfg.sss_deadband, self._track_slopes
+        )
 
     @property
     def config(self) -> SegmentationConfig:
@@ -158,8 +167,8 @@ class SegmentStream:
         if self._trigger is not None:
             reason = self._trigger(state, state.start_index + state.count - 1)
         elif state.count >= cfg.effective_min_len:
-            # The minimum length is at least degree + 1, so deviation is set.
-            if cfg.th_dpu is not None and state.deviation > cfg.th_dpu:
+            # The minimum length is at least degree + 1, so the window has a fit.
+            if cfg.th_dpu is not None and deviation_exceeds(state, cfg.th_dpu):
                 reason = ClosedBy.DPU
             elif cfg.th_sss is not None and state.sss_count > cfg.th_sss:
                 reason = ClosedBy.SSS
@@ -167,7 +176,7 @@ class SegmentStream:
         if reason is None:
             return None
         segment = self._close(reason)
-        self._state = window_init(segment.end + 1, cfg.degree, cfg.sss_mode, cfg.sss_deadband)
+        self._state = self._window(segment.end + 1)
         return segment
 
     def finish(self) -> Segment | None:

@@ -21,8 +21,10 @@ sum_n y_n p_k(n) / ||p_k||^2.
 
 Windows can also grow one sample at a time.  A WindowState keeps the power
 moments M_j = sum y_n n^j (j = 0..K) under compensated summation; absorbing a
-sample costs O(K) moment updates plus an O(K^2) coefficient recombination,
-independent of how long the window has grown.
+sample costs O(K) moment updates, independent of how long the window has
+grown.  The O(K^2) coefficient recombination runs only when something reads
+the fit, and a DPU threshold is first tried against an O(K) screen of the
+fitted end point (see deviation_exceeds).
 """
 
 from __future__ import annotations
@@ -156,6 +158,14 @@ def _packed_layout(degree: int) -> operator.itemgetter:
 _LAYOUTS = tuple(_packed_layout(degree) for degree in range(MAX_DEGREE + 1))
 
 
+def _block_lengths(start: int) -> np.ndarray:
+    """The window lengths start..start+_BLOCK_LEN-1 as exact integers."""
+    stop = start + _BLOCK_LEN
+    if stop <= _INT64_LEN_CAP:
+        return np.arange(start, stop, dtype=np.int64)
+    return np.array(range(start, stop), dtype=object)
+
+
 @lru_cache(maxsize=_BLOCKS_KEPT)
 def _build_block(start: int, degree: int) -> np.ndarray:
     """Packed bases of the window lengths start..start+_BLOCK_LEN-1, one row each.
@@ -167,11 +177,7 @@ def _build_block(start: int, degree: int) -> np.ndarray:
     Python's do, so a row's bits do not depend on the block it came from.
     Lengths below ``degree`` are computed too and never handed out.
     """
-    stop = start + _BLOCK_LEN
-    if stop <= _INT64_LEN_CAP:
-        n = np.arange(start, stop, dtype=np.int64)
-    else:
-        n = np.array(range(start, stop), dtype=object)
+    n = _block_lengths(start)
     half = n.astype(float) / 2.0
     mm = (n + 1) * (n + 1)
     # Python floats overflow to inf (and inf - inf to nan) without a word.
@@ -228,6 +234,71 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
         return _short_basis(n, k)
     start = n - n % _BLOCK_LEN
     return _unpack(_build_block(start, k)[n - start], n, k)
+
+
+# The screen's tables: per window length n, the end-point weights w_0..w_K,
+# the magnitudes a_0..a_K, then the columns below (see _screen_block).
+_FLOOR, _BOUND, _ROW1, _NORM1 = range(-4, 0)
+# Below this the exact fit provably stays finite (see _screen_block).
+_FINITE_BELOW = 2.0**1000
+# The screen's relative margin, 64u with u = 2^-53 (see deviation_exceeds).
+_SCREEN_ULPS = 2.0**-47
+
+
+@lru_cache(maxsize=_BLOCKS_KEPT)
+def _screen_block(start: int, degree: int) -> np.ndarray:
+    """Screen tables of the window lengths start..start+_BLOCK_LEN-1, one row each.
+
+    Built in one numpy pass from _build_block's rows r_kj, norms N_k and
+    offsets.  p_k(n) at the end point runs _recurse's recursion elementwise,
+    so each is the exact path's own float p^_k.  With q_k = p^_k / N_k:
+
+    * w_j = sum_k r_kj q_k, so sum_j w_j M_j is the fitted end point;
+    * a_j = sum_k |r_kj q_k|, so S = sum_j a_j |M_j| bounds every product
+      alpha_k p^_k that the exact path sums;
+    * _FLOOR: 2^-1000 max(1, max_k |p^_k| max(1, 1/N_k)), the most that
+      underflow in a product with a moment can shift either path's fit,
+      times 2^68 (see deviation_exceeds);
+    * _BOUND: T = max(max_kj |r_kj| max(1, 1/N_k), max_j a_j) >= r_00 = 1, or inf
+      where a table value is not finite or a product r_kj q_k may underflow.
+      If T (sum_j |M_j| + |y|) < 2^1000, every product, fsum, quotient and
+      difference of the exact path stays below 11 * 2^1000 (1 + 13u), far
+      from the float limit 2^1024, so its fit and deviation are finite;
+    * _ROW1, _NORM1: r_10 and N_1, so alpha_1 = fsum(r_10 M_0, M_1) / N_1
+      has the exact path's bits (r_11 is exactly 1).
+    """
+    *rows, norms, offsets = _LAYOUTS[degree](_build_block(start, degree).T)
+    x = _block_lengths(start).astype(float)
+    shifted = x - x / 2.0
+    tiny = np.finfo(float).tiny
+    w = np.zeros((degree + 1, _BLOCK_LEN))
+    a = np.zeros_like(w)
+    with np.errstate(all="ignore"):
+        prev, cur = 0.0, np.ones_like(x)
+        p = [cur]
+        for b in offsets:
+            prev, cur = cur, shifted * cur - b * prev
+            p.append(cur)
+        scale = np.maximum(1.0, 1.0 / norms)
+        floor = 2.0**-1000 * np.maximum(1.0, np.max(np.abs(p) * scale, axis=0))
+        bound = np.zeros_like(x)
+        underflow = np.zeros(x.shape, dtype=bool)
+        for k, (row, pk) in enumerate(zip(rows, p)):
+            q = pk / norms[k]
+            terms = row * q  # r_kj q_k, j = 0..k
+            w[: k + 1] += terms
+            a[: k + 1] += np.abs(terms)
+            size = np.abs(row)
+            bound = np.maximum(bound, np.max(size, axis=0) * scale[k])
+            # r_kk = 1, so this also catches a subnormal q_k.
+            smallest = np.min(size, axis=0, where=row != 0, initial=1.0) * np.abs(q)
+            underflow |= (pk != 0) & (smallest < 2.0 * tiny)
+        bound = np.maximum(bound, np.max(a, axis=0))
+        bound[underflow | ~np.isfinite(bound) | ~np.isfinite(floor)] = np.inf
+    row1, norm1 = (rows[1][0], norms[1]) if degree >= 1 else (np.nan, np.nan)
+    table = np.stack(np.broadcast_arrays(*w, *a, floor, bound, row1, norm1), axis=1)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -339,23 +410,36 @@ class WindowState:
 
     moments[j] tracks M_j = sum over absorbed samples of y * x^j (local x
     starting at 0), maintained with Kahan compensation.  alpha and deviation,
-    |fit - y| at the newest sample, are set once count >= degree + 1.
+    |fit - y| at the newest sample, are None until count >= degree + 1; then
+    they are computed from the moments when read, once per count.
     prev_slope_sign is the last non-zero slope sign observed; values inside
-    the deadband neither match nor break it.
+    the deadband neither match nor break it.  A window that does not track
+    slopes leaves sss_count at 0.
     """
 
     start_index: int
     degree: int
     sss_mode: SlopeSignMode = SlopeSignMode.ALPHA1_SIGN
     sss_deadband: float = 0.01
+    track_slopes: bool = True
     count: int = 0
     moments: list[float] = field(default_factory=list)
     last_value: float | None = None
-    alpha: np.ndarray | None = None
-    deviation: float | None = None
     sss_count: int = 0
     prev_slope_sign: int = 0
     _compensation: list[float] = field(default_factory=list, repr=False)
+    # The screen-table row of the current length, set by window_grow.
+    _screen: list[float] | None = field(default=None, repr=False)
+    # (count, alpha, deviation) of the last exact fit.
+    _fit: tuple[int, np.ndarray, float] | None = field(default=None, repr=False)
+
+    @property
+    def alpha(self) -> np.ndarray | None:
+        return None if self.count <= self.degree else _exact_fit(self)[1]
+
+    @property
+    def deviation(self) -> float | None:
+        return None if self.count <= self.degree else _exact_fit(self)[2]
 
 
 def window_init(
@@ -363,6 +447,7 @@ def window_init(
     degree: int,
     sss_mode: SlopeSignMode = SlopeSignMode.ALPHA1_SIGN,
     sss_deadband: float = 0.01,
+    track_slopes: bool = True,
 ) -> WindowState:
     """Fresh empty window whose first absorbed sample sits at ``start_index``."""
     degree = check_int("degree", degree, 0, MAX_DEGREE)
@@ -372,6 +457,7 @@ def window_init(
         degree=degree,
         sss_mode=sss_mode,
         sss_deadband=float(sss_deadband),
+        track_slopes=bool(track_slopes),
         moments=[0.0] * (degree + 1),
         _compensation=[0.0] * (degree + 1),
     )
@@ -386,50 +472,117 @@ def _observe_slope(state: WindowState, slope: float) -> None:
     state.prev_slope_sign = s
 
 
-def window_grow(state: WindowState, y: float) -> WindowState:
-    """Absorb one sample, refreshing moments, alpha, deviation and slope-sign counters.
+def _exact_fit(state: WindowState) -> tuple[int, np.ndarray, float]:
+    """(count, alpha, deviation) of the window as it stands, computed once per count.
 
-    Per-point cost is O(degree^2) and does not depend on how many samples the
-    window already holds.  Raises InvalidDataError when the fit or its
-    deviation overflows.
+    Raises InvalidDataError when the fit or its deviation overflows.
+    """
+    if state._fit is not None and state._fit[0] == state.count:
+        return state._fit
+    n = state.count - 1
+    basis = build_basis(n, state.degree)
+    # Python floats give numpy's products without its overflow warnings.
+    try:
+        alpha = [
+            math.fsum(map(operator.mul, row, state.moments)) / norm
+            for row, norm in zip(basis.rows, basis.norms)
+        ]
+        fitted = _fitted(alpha, float(n), n, basis.offsets)
+    except (ValueError, OverflowError):  # fsum met inf - inf or overflowed
+        fitted = math.nan
+    # A non-finite coefficient makes its product with p_k(n) non-finite too.
+    deviation = abs(fitted - state.last_value)
+    if not math.isfinite(deviation):
+        raise InvalidDataError(f"window fit overflows at sample {state.start_index + n}")
+    state._fit = (state.count, np.array(alpha), deviation)
+    return state._fit
+
+
+def window_grow(state: WindowState, y: float) -> WindowState:
+    """Absorb one sample: refresh the moments, and the slope-sign counters if tracked.
+
+    Per-point cost is O(degree) and does not depend on how many samples the
+    window already holds.  The fit is left to the first read of alpha or
+    deviation, unless the screen tables cannot certify that it stays
+    finite: then it runs here, and raises InvalidDataError at this sample
+    when the fit or its deviation overflows.
     """
     value = float(y)
     if not math.isfinite(value):
         raise InvalidDataError(f"non-finite sample {y!r}")
+    moments, compensation = state.moments, state._compensation
     x = float(state.count)
     xpow = 1.0
     for j in range(state.degree + 1):
         # Kahan update keeps the moments near-exact as the window grows.
-        term = value * xpow - state._compensation[j]
-        total = state.moments[j] + term
-        state._compensation[j] = (total - state.moments[j]) - term
-        state.moments[j] = total
+        term = value * xpow - compensation[j]
+        total = moments[j] + term
+        compensation[j] = (total - moments[j]) - term
+        moments[j] = total
         xpow *= x
     state.count += 1
 
-    if state.sss_mode is SlopeSignMode.FIRST_DIFF_SIGN and state.last_value is not None:
+    track = state.track_slopes
+    if track and state.sss_mode is SlopeSignMode.FIRST_DIFF_SIGN and state.last_value is not None:
         _observe_slope(state, value - state.last_value)
-
-    if state.count >= state.degree + 1:
-        n = state.count - 1
-        basis = build_basis(n, state.degree)
-        # Python floats give numpy's products without its overflow warnings.
-        try:
-            alpha = [
-                math.fsum(map(operator.mul, row, state.moments)) / norm
-                for row, norm in zip(basis.rows, basis.norms)
-            ]
-            fitted = _fitted(alpha, float(n), n, basis.offsets)
-        except (ValueError, OverflowError):  # fsum met inf - inf or overflowed
-            fitted = math.nan
-        # A non-finite coefficient makes its product with p_k(n) non-finite too.
-        deviation = abs(fitted - value)
-        if not math.isfinite(deviation):
-            raise InvalidDataError(f"window fit overflows at sample {state.start_index + n}")
-        state.alpha = np.array(alpha)
-        state.deviation = deviation
-        if state.sss_mode is SlopeSignMode.ALPHA1_SIGN and state.degree >= 1:
-            _observe_slope(state, alpha[1])
-
     state.last_value = value
+
+    n = state.count - 1
+    if n >= state.degree:
+        start = n - n % _BLOCK_LEN
+        row = state._screen = _screen_block(start, state.degree)[n - start].tolist()
+        if not row[_BOUND] * (sum(map(abs, moments)) + abs(value)) < _FINITE_BELOW:
+            _exact_fit(state)
+        if track and state.sss_mode is SlopeSignMode.ALPHA1_SIGN and state.degree >= 1:
+            _observe_slope(state, math.fsum((row[_ROW1] * moments[0], moments[1])) / row[_NORM1])
     return state
+
+
+def deviation_exceeds(state: WindowState, threshold: float) -> bool:
+    """state.deviation > threshold, decided by an O(K) screen when it can be.
+
+    The screen reads the current length's table row (see _screen_block):
+    F~ = sum_j w_j M_j, S = sum_j a_j |M_j| and d~ = |F~ - y|.  It answers
+    False without the exact fit only when
+
+        d~ + 2^-47 (S + d~) + floor < threshold,
+
+    and runs the exact fit (and the exact comparison) otherwise.
+
+    Why the margin holds, with u = 2^-53, gamma_m = m u / (1 - m u), and
+    Phi = sum_k p^_k sum_j r_kj M_j / N_k the fit in exact arithmetic on
+    the same float moments, rows, norms and p^_k:
+
+    * The exact path rounds each elementary term r_kj M_j p^_k / N_k at
+      most five times (the product r_kj M_j, the coefficient fsum, the
+      division by N_k, the product with p^_k, the fitted-value fsum), so
+      |fit - Phi| <= gamma_5 S.
+    * The screen rounds it at most 2K + 3 times (q_k, r_kj q_k, K additions
+      into w_j, the product w_j M_j, K additions into F~), so
+      |F~ - Phi| <= gamma_{2K+3} S, and the computed S is at least
+      (1 - gamma_{2K+3}) of the exact one.
+    * The two subtractions from y add u |fit - y| and u |F~ - y|.
+
+    So deviation <= d~ + (2K + 8) u S + 2u d~ to first order, at most
+    28u S + 2u d~ at K = 10.  The margin takes 64u for both terms, more than
+    twice that.  Underflow in a product with a moment shifts either fit by
+    at most 2^-1075 times max(1, |p^_k| max(1, 1/N_k)), in fewer than 128
+    places; floor is 2^68 times that.  Rounding in the test itself only
+    shrinks the margin by a few u, inside the factor of two.  A NaN or an
+    infinity anywhere fails the test and falls back to the exact path.
+    """
+    fitted, bound = _screen(state)
+    off = abs(fitted - state.last_value)
+    if off + _SCREEN_ULPS * (bound + off) + state._screen[_FLOOR] < threshold:
+        return False
+    return state.deviation > threshold
+
+
+def _screen(state: WindowState) -> tuple[float, float]:
+    """(F~, S) at the window's newest sample, from its screen-table row."""
+    row, moments = state._screen, state.moments
+    k1 = state.degree + 1
+    return (
+        sum(map(operator.mul, row, moments)),
+        sum(map(operator.mul, row[k1 : 2 * k1], map(abs, moments))),
+    )
