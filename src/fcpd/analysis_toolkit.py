@@ -297,16 +297,17 @@ def generate_cycle(
     series = math.sqrt(2.0) * np.sin(2.0 * math.pi * x / period)
     rng = np.random.default_rng(seed)
     for anomaly in anomalies:
-        if anomaly.start > anomaly.end:
+        start = check_int("anomaly start", anomaly.start, 0)
+        end = check_int("anomaly end", anomaly.end, 0)
+        if start > end:
             raise InvalidConfigError(f"anomaly interval reversed: {anomaly}")
-        if anomaly.start < 0 or anomaly.end >= n:
+        if end >= n:
             raise InvalidConfigError(f"anomaly interval outside 0..{n - 1}: {anomaly}")
-        span = anomaly.end - anomaly.start + 1
-        noise = rng.standard_normal(span)
+        noise = rng.standard_normal(end - start + 1)
         if isinstance(anomaly, NoiseBurst):
-            series[anomaly.start : anomaly.end + 1] += anomaly.scale * noise
+            series[start : end + 1] += anomaly.scale * noise
         elif isinstance(anomaly, LevelShift):
-            series[anomaly.start : anomaly.end + 1] = anomaly.level + anomaly.scale * noise
+            series[start : end + 1] = anomaly.level + anomaly.scale * noise
         else:
             raise InvalidConfigError(f"unknown anomaly type {anomaly!r}")
     return series

@@ -33,6 +33,7 @@ from .errors import (
     InvalidConfigError,
     InvalidDataError,
     MissingFeatureError,
+    check_int,
     check_real,
 )
 from .features import build_records, resolve_feature_name
@@ -411,9 +412,11 @@ def _cmd_query(args) -> int:
 
 def _cmd_cluster(args) -> int:
     series = _load_series(args)
-    seed = _resolve_seed(args)
+    # kmeans_points checks these too, but only once the series is segmented.
+    seed = check_int("seed", _resolve_seed(args), 0)
+    k = check_int("k", args.clusters, 1)
     segmentation = segment_series(series, _segmentation_from_args(args))
-    result = kmeans_segments(segmentation, k=args.clusters, seed=seed, feature_pair=(1, 2))
+    result = kmeans_segments(segmentation, k=k, seed=seed, feature_pair=(1, 2))
     members = [
         (segmentation.segments[index], cluster, index in result.representatives)
         for index, cluster in zip(result.segment_indices, result.assignments)

@@ -15,7 +15,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidDataError, MissingFeatureError, check_int
+from .errors import InvalidConfigError, InvalidDataError, MissingFeatureError, check_int, check_real
 
 _MF_ARITY = {"tri": 3, "trap": 4, "gauss": 2, "zmf": 2, "smf": 2}
 
@@ -191,7 +191,8 @@ class Rule:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.weight) or not 0.0 < self.weight <= 1.0:
+        check_real("rule weight", self.weight, 0)
+        if self.weight > 1.0:
             raise InvalidConfigError(f"rule weight must be in (0, 1], got {self.weight}")
 
 

@@ -468,6 +468,28 @@ def test_cli_cluster_too_many_clusters(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (["--clusters", "0"], None, "k must be an integer >= 1, got 0"),
+        (["--seed", "-1"], None, "seed must be an integer >= 0, got -1"),
+        ([], "-1", "seed must be an integer >= 0, got -1"),
+    ],
+)
+def test_cli_cluster_checks_its_options_before_segmenting(
+    tmp_path, capsys, monkeypatch, flags, env, message
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("segmented before the options were checked")
+
+    monkeypatch.setattr("fcpd.cli_io.segment_series", unreachable)
+    if env is not None:
+        monkeypatch.setenv("FCPD_SEED", env)
+    series_path = _write_series(tmp_path, [0.0] * 12 + [5.0] * 12)
+    argv = ["cluster", series_path, "--degree", "2", "--th-dpu", "0.5", *flags]
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_cli_cluster_overflow_is_a_data_error(tmp_path, capsys):
     series_path = _write_series(tmp_path, HUGE_ALTERNATING)
     code, out, err = _run(

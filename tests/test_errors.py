@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from fcpd import (
+    Atom,
     InvalidConfigError,
+    LevelShift,
+    NoiseBurst,
+    Rule,
     RunConfig,
     SegmentationConfig,
     SegmentStream,
@@ -66,6 +70,8 @@ INTEGER_OPTIONS = [
     ("segment_count", lambda v: sensitivity_bounds([0.1, 0.5, 0.9], segment_count=v), 5, True),
     ("n", lambda v: generate_cycle(n=v, anomalies=()), 50, False),
     ("seed", lambda v: generate_cycle(n=50, seed=v, anomalies=()), 7, False),
+    ("anomaly start", lambda v: generate_cycle(n=50, anomalies=(NoiseBurst(v, 10),)), 3, False),
+    ("anomaly end", lambda v: generate_cycle(n=50, anomalies=(LevelShift(2, v),)), 10, False),
     ("resolution", lambda v: dataclasses.replace(FIS, resolution=v), 101, False),
 ]
 
@@ -78,6 +84,7 @@ REAL_THRESHOLDS = [
     ("epsilon", lambda v: build_records(SEGMENTS, epsilon=v), 1e-9, False),
     ("epsilon", lambda v: RunConfig(CONFIG, rules_text=RULES, epsilon=v).rules, 1e-9, False),
     ("period", lambda v: generate_cycle(n=50, period=v, anomalies=()), 20.0, False),
+    ("rule weight", lambda v: Rule(Atom("average", "zero"), "score", "high", weight=v), 0.5, False),
 ]
 
 
@@ -125,6 +132,18 @@ def test_real_thresholds_take_finite_numbers_only(name, call, valid, optional):
         (lambda: SegmentationConfig(degree=2, th_dpu=0.0), "th_dpu must be > 0, got 0.0"),
         (lambda: window_init(0, 2, sss_deadband=-0.1), "sss_deadband must be >= 0, got -0.1"),
         (lambda: generate_cycle(n=50, period=-1), "period must be > 0, got -1"),
+        (
+            lambda: generate_cycle(n=50, anomalies=(NoiseBurst(-1, 10),)),
+            "anomaly start must be an integer >= 0, got -1",
+        ),
+        (
+            lambda: Rule(Atom("average", "zero"), "score", "high", weight=0.0),
+            "rule weight must be > 0, got 0.0",
+        ),
+        (
+            lambda: Rule(Atom("average", "zero"), "score", "high", weight=1.5),
+            "rule weight must be in (0, 1], got 1.5",
+        ),
     ],
 )
 def test_bounds_are_named_in_the_message(call, message):
