@@ -239,7 +239,7 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
 # The screen's tables: per window length n, the end-point weights w_0..w_K,
 # the magnitudes a_0..a_K, then the columns below (see _screen_block).
 _FLOOR, _BOUND, _ROW1, _NORM1 = range(-4, 0)
-# Below this the exact fit provably stays finite (see _screen_block).
+# T (sum_j |M_j| + |y|) below this proves the exact fit finite (see _screen_block).
 _FINITE_BELOW = 2.0**1000
 # The screen's relative margin, 64u with u = 2^-53 (see deviation_exceeds).
 _SCREEN_ULPS = 2.0**-47
@@ -258,9 +258,10 @@ def _screen_block(start: int, degree: int) -> np.ndarray:
       alpha_k p^_k that the exact path sums;
     * _FLOOR: 2^-1000 max(1, max_k |p^_k| max(1, 1/N_k)), the most that
       underflow in a product with a moment can shift either path's fit,
-      times 2^68 (see deviation_exceeds);
+      times 2^68 (see deviation_exceeds); inf where _BOUND is, so the
+      screen decides nothing there;
     * _BOUND: T = max(max_kj |r_kj| max(1, 1/N_k), max_j a_j) >= r_00 = 1, or inf
-      where a table value is not finite or a product r_kj q_k may underflow.
+      where a table value is not finite or q_k or a product r_kj q_k underflows.
       If T (sum_j |M_j| + |y|) < 2^1000, every product, fsum, quotient and
       difference of the exact path stays below 11 * 2^1000 (1 + 13u), far
       from the float limit 2^1024, so its fit and deviation are finite;
@@ -288,13 +289,12 @@ def _screen_block(start: int, degree: int) -> np.ndarray:
             terms = row * q  # r_kj q_k, j = 0..k
             w[: k + 1] += terms
             a[: k + 1] += np.abs(terms)
-            size = np.abs(row)
-            bound = np.maximum(bound, np.max(size, axis=0) * scale[k])
-            # r_kk = 1, so this also catches a subnormal q_k.
-            smallest = np.min(size, axis=0, where=row != 0, initial=1.0) * np.abs(q)
-            underflow |= (pk != 0) & (smallest < 2.0 * tiny)
+            bound = np.maximum(bound, np.max(np.abs(row), axis=0) * scale[k])
+            underflow |= (pk != 0) & (np.abs(q) < tiny)
+            underflow |= np.any((row != 0) & (q != 0) & (np.abs(terms) < tiny), axis=0)
         bound = np.maximum(bound, np.max(a, axis=0))
-        bound[underflow | ~np.isfinite(bound) | ~np.isfinite(floor)] = np.inf
+        uncertified = underflow | ~np.isfinite(bound) | ~np.isfinite(floor)
+        bound[uncertified] = floor[uncertified] = np.inf
     row1, norm1 = (rows[1][0], norms[1]) if degree >= 1 else (np.nan, np.nan)
     table = np.stack(np.broadcast_arrays(*w, *a, floor, bound, row1, norm1), axis=1)
     table.flags.writeable = False
