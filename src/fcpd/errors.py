@@ -33,9 +33,9 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
 
     A bool is not an integer here.  Raises InvalidConfigError naming ``name``.
     """
-    # type() first: build_basis calls this once per sample, nearly always with an int.
     if (
-        (type(value) is int or isinstance(value, Integral) and not isinstance(value, bool))
+        isinstance(value, Integral)
+        and not isinstance(value, bool)
         and value >= lo
         and (hi is None or value <= hi)
     ):

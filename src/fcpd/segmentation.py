@@ -138,14 +138,13 @@ class SegmentStream:
         self._segments: list[Segment] = []
         self._finished = False
         # Slope signs are only counted where something reads them.
-        self._track_slopes = config.th_sss is not None or trigger is not None
+        reads_slopes = config.th_sss is not None or trigger is not None
+        self._sss_mode = config.sss_mode if reads_slopes else None
         self._state = self._window(start_index)
 
     def _window(self, start_index: int) -> WindowState:
         cfg = self._config
-        return window_init(
-            start_index, cfg.degree, cfg.sss_mode, cfg.sss_deadband, self._track_slopes
-        )
+        return window_init(start_index, cfg.degree, self._sss_mode, cfg.sss_deadband)
 
     @property
     def config(self) -> SegmentationConfig:

@@ -33,7 +33,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,8 +81,8 @@ class OrthoBasis:
     p_k (j = 0..k, rows[k][k] exactly 1), norms[k] the closed-form squared
     norm and offsets[k] the recursion's b_k (k = 0..degree-1).  power_coeffs
     (the rows as a lower-triangular matrix) and sq_norms are read-only arrays
-    built on first access.  build_basis may hand out the same instance more
-    than once, so nothing in it can change.
+    built on first access.  build_basis unpacks a new instance from its
+    block on each call; nothing in it can change.
     """
 
     window_len: int
@@ -135,10 +135,9 @@ def _fitted(alpha, x: float, window_len: int, offsets) -> float:
         return math.nan
 
 
-# Bases are built in blocks of _BLOCK_LEN consecutive window lengths, one
-# numpy pass per block, and the _BLOCKS_KEPT blocks used most recently are
-# kept.  Every basis of a length below _BLOCK_LEN is kept for the life of the
-# process; longer lengths get a fresh OrthoBasis on each call.
+# Bases and screen tables are built in blocks of _BLOCK_LEN consecutive window
+# lengths, one numpy pass per block, and the _BLOCKS_KEPT blocks used most
+# recently are kept (see _block).
 _BLOCK_LEN = 1024
 _BLOCKS_KEPT = 3
 # Up to this n + 1, k^2 (n+1)^2 fits in int64 for every k <= MAX_DEGREE;
@@ -167,8 +166,19 @@ def _block_lengths(start: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_BLOCKS_KEPT)
-def _build_block(start: int, degree: int) -> np.ndarray:
-    """Packed bases of the window lengths start..start+_BLOCK_LEN-1, one row each.
+def _block(start: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(packed bases, screen tables) of the window lengths start..start+_BLOCK_LEN-1.
+
+    The one cache of this module: it keeps the _BLOCKS_KEPT blocks used most
+    recently, over all degrees, and fills on first use, never at import.
+    """
+    n = _block_lengths(start)
+    packed = _pack_bases(n, degree)
+    return packed, _screen_table(n, degree, packed)
+
+
+def _pack_bases(n: np.ndarray, degree: int) -> np.ndarray:
+    """Packed bases of the window lengths ``n``, one row each.
 
     Each row holds rows 0..degree, then the norms, then the offsets (see
     _LAYOUTS).  Every value is computed as a Python float would compute it
@@ -177,7 +187,6 @@ def _build_block(start: int, degree: int) -> np.ndarray:
     Python's do, so a row's bits do not depend on the block it came from.
     Lengths below ``degree`` are computed too and never handed out.
     """
-    n = _block_lengths(start)
     half = n.astype(float) / 2.0
     mm = (n + 1) * (n + 1)
     # Python floats overflow to inf (and inf - inf to nan) without a word.
@@ -210,46 +219,30 @@ def _build_block(start: int, degree: int) -> np.ndarray:
     return packed
 
 
-def _unpack(row: np.ndarray, n: int, degree: int) -> OrthoBasis:
-    parts = _LAYOUTS[degree](tuple(row.tolist()))
-    return OrthoBasis(n, degree, parts[:-2], parts[-2], parts[-1])
-
-
-@cache
-def _short_basis(n: int, degree: int) -> OrthoBasis:
-    return _unpack(_build_block(0, degree)[n], n, degree)
-
-
 def build_basis(window_len: int, degree: int) -> OrthoBasis:
-    """The basis for the grid 0..window_len up to ``degree``.
-
-    Lengths below _BLOCK_LEN return a shared instance.  The caches behind it
-    fill on first use, never at import.
-    """
+    """The basis for the grid 0..window_len up to ``degree``, unpacked from its block."""
     k = check_int("degree", degree, 0, MAX_DEGREE)
     n = check_int("window_len", window_len, 0)
     if k > n:
         raise InvalidConfigError(f"degree {k} needs at least {k + 1} points, grid has {n + 1}")
-    if n < _BLOCK_LEN:
-        return _short_basis(n, k)
     start = n - n % _BLOCK_LEN
-    return _unpack(_build_block(start, k)[n - start], n, k)
+    parts = _LAYOUTS[k](tuple(_block(start, k)[0][n - start].tolist()))
+    return OrthoBasis(n, k, parts[:-2], parts[-2], parts[-1])
 
 
 # The screen's tables: per window length n, the end-point weights w_0..w_K,
-# the magnitudes a_0..a_K, then the columns below (see _screen_block).
+# the magnitudes a_0..a_K, then the columns below (see _screen_table).
 _FLOOR, _BOUND, _ROW1, _NORM1 = range(-4, 0)
-# T (sum_j |M_j| + |y|) below this proves the exact fit finite (see _screen_block).
+# T (sum_j |M_j| + |y|) below this proves the exact fit finite (see _screen_table).
 _FINITE_BELOW = 2.0**1000
 # The screen's relative margin, 64u with u = 2^-53 (see deviation_exceeds).
 _SCREEN_ULPS = 2.0**-47
 
 
-@lru_cache(maxsize=_BLOCKS_KEPT)
-def _screen_block(start: int, degree: int) -> np.ndarray:
-    """Screen tables of the window lengths start..start+_BLOCK_LEN-1, one row each.
+def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> np.ndarray:
+    """Screen tables of the window lengths ``n``, one row each.
 
-    Built in one numpy pass from _build_block's rows r_kj, norms N_k and
+    Built in one numpy pass from the packed rows r_kj, norms N_k and
     offsets.  p_k(n) at the end point runs _recurse's recursion elementwise,
     so each is the exact path's own float p^_k.  With q_k = p^_k / N_k:
 
@@ -268,11 +261,11 @@ def _screen_block(start: int, degree: int) -> np.ndarray:
     * _ROW1, _NORM1: r_10 and N_1, so alpha_1 = fsum(r_10 M_0, M_1) / N_1
       has the exact path's bits (r_11 is exactly 1).
     """
-    *rows, norms, offsets = _LAYOUTS[degree](_build_block(start, degree).T)
-    x = _block_lengths(start).astype(float)
+    *rows, norms, offsets = _LAYOUTS[degree](packed.T)
+    x = n.astype(float)
     shifted = x - x / 2.0
     tiny = np.finfo(float).tiny
-    w = np.zeros((degree + 1, _BLOCK_LEN))
+    w = np.zeros((degree + 1, x.size))
     a = np.zeros_like(w)
     with np.errstate(all="ignore"):
         prev, cur = 0.0, np.ones_like(x)
@@ -413,15 +406,14 @@ class WindowState:
     |fit - y| at the newest sample, are None until count >= degree + 1; then
     they are computed from the moments when read, once per count.
     prev_slope_sign is the last non-zero slope sign observed; values inside
-    the deadband neither match nor break it.  A window that does not track
-    slopes leaves sss_count at 0.
+    the deadband neither match nor break it.  A window whose sss_mode is
+    None counts no slope and leaves sss_count at 0.
     """
 
     start_index: int
     degree: int
-    sss_mode: SlopeSignMode = SlopeSignMode.ALPHA1_SIGN
+    sss_mode: SlopeSignMode | None = SlopeSignMode.ALPHA1_SIGN
     sss_deadband: float = 0.01
-    track_slopes: bool = True
     count: int = 0
     moments: list[float] = field(default_factory=list)
     last_value: float | None = None
@@ -445,19 +437,20 @@ class WindowState:
 def window_init(
     start_index: int,
     degree: int,
-    sss_mode: SlopeSignMode = SlopeSignMode.ALPHA1_SIGN,
+    sss_mode: SlopeSignMode | None = SlopeSignMode.ALPHA1_SIGN,
     sss_deadband: float = 0.01,
-    track_slopes: bool = True,
 ) -> WindowState:
-    """Fresh empty window whose first absorbed sample sits at ``start_index``."""
+    """Fresh empty window whose first absorbed sample sits at ``start_index``.
+
+    ``sss_mode=None`` counts no slope sign.
+    """
     degree = check_int("degree", degree, 0, MAX_DEGREE)
-    check_slope_options(sss_mode, sss_deadband)
+    check_slope_options(SlopeSignMode.ALPHA1_SIGN if sss_mode is None else sss_mode, sss_deadband)
     return WindowState(
         start_index=check_int("start_index", start_index, 0),
         degree=degree,
         sss_mode=sss_mode,
         sss_deadband=float(sss_deadband),
-        track_slopes=bool(track_slopes),
         moments=[0.0] * (degree + 1),
         _compensation=[0.0] * (degree + 1),
     )
@@ -499,7 +492,7 @@ def _exact_fit(state: WindowState) -> tuple[int, np.ndarray, float]:
 
 
 def window_grow(state: WindowState, y: float) -> WindowState:
-    """Absorb one sample: refresh the moments, and the slope-sign counters if tracked.
+    """Absorb one sample: refresh the moments, and the slope-sign counters if sss_mode is set.
 
     Per-point cost is O(degree) and does not depend on how many samples the
     window already holds.  The fit is left to the first read of alpha or
@@ -507,7 +500,10 @@ def window_grow(state: WindowState, y: float) -> WindowState:
     finite: then it runs here, and raises InvalidDataError at this sample
     when the fit or its deviation overflows.
     """
-    value = float(y)
+    try:
+        value = float(y)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
     if not math.isfinite(value):
         raise InvalidDataError(f"non-finite sample {y!r}")
     moments, compensation = state.moments, state._compensation
@@ -522,18 +518,18 @@ def window_grow(state: WindowState, y: float) -> WindowState:
         xpow *= x
     state.count += 1
 
-    track = state.track_slopes
-    if track and state.sss_mode is SlopeSignMode.FIRST_DIFF_SIGN and state.last_value is not None:
+    mode = state.sss_mode
+    if mode is SlopeSignMode.FIRST_DIFF_SIGN and state.last_value is not None:
         _observe_slope(state, value - state.last_value)
     state.last_value = value
 
     n = state.count - 1
     if n >= state.degree:
         start = n - n % _BLOCK_LEN
-        row = state._screen = _screen_block(start, state.degree)[n - start].tolist()
+        row = state._screen = _block(start, state.degree)[1][n - start].tolist()
         if not row[_BOUND] * (sum(map(abs, moments)) + abs(value)) < _FINITE_BELOW:
             _exact_fit(state)
-        if track and state.sss_mode is SlopeSignMode.ALPHA1_SIGN and state.degree >= 1:
+        if mode is SlopeSignMode.ALPHA1_SIGN and state.degree >= 1:
             _observe_slope(state, math.fsum((row[_ROW1] * moments[0], moments[1])) / row[_NORM1])
     return state
 
@@ -541,7 +537,7 @@ def window_grow(state: WindowState, y: float) -> WindowState:
 def deviation_exceeds(state: WindowState, threshold: float) -> bool:
     """state.deviation > threshold, decided by an O(K) screen when it can be.
 
-    The screen reads the current length's table row (see _screen_block):
+    The screen reads the current length's table row (see _screen_table):
     F~ = sum_j w_j M_j, S = sum_j a_j |M_j| and d~ = |F~ - y|.  It answers
     False without the exact fit only when
 

@@ -79,7 +79,7 @@ def test_screen_estimate_is_within_the_derived_bound(degree):
     assert 2 * derived <= shape_space._SCREEN_ULPS
     worst = 0.0
     for k, offset in enumerate(OFFSETS):
-        state = window_init(0, degree, track_slopes=False)
+        state = window_init(0, degree, sss_mode=None)
         for t, value in enumerate(_walk(7 + 10 * degree + k, 2200, offset)):
             window_grow(state, value)
             if state.count <= degree or (t % 4 and t < 2040):
@@ -117,17 +117,17 @@ def test_a_quiet_dpu_stream_runs_few_exact_fits(degree, monkeypatch):
 def test_slopes_are_tracked_only_where_something_reads_them():
     def tracks(trigger=None, **thresholds):
         config = SegmentationConfig(degree=3, **thresholds)
-        return SegmentStream(config, trigger=trigger).state.track_slopes
+        return SegmentStream(config, trigger=trigger).state.sss_mode is not None
 
     assert not tracks(th_dpu=2.0)
     assert tracks(th_sss=2)
     assert tracks(th_dpu=2.0, th_sss=2)
     assert tracks(trigger=lambda state, index: None, th_dpu=2.0)
-    assert window_init(0, 3).track_slopes
+    assert window_init(0, 3).sss_mode is not None
     # Untracked, the count stays 0 where a tracked window counts switches.
     counts = []
-    for track in (False, True):
-        state = window_init(0, 1, SlopeSignMode.FIRST_DIFF_SIGN, 0.0, track_slopes=track)
+    for mode in (None, SlopeSignMode.FIRST_DIFF_SIGN):
+        state = window_init(0, 1, mode, 0.0)
         for i in range(40):
             window_grow(state, float(i % 2))
         counts.append(state.sss_count)

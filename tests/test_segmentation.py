@@ -24,6 +24,7 @@ from fcpd import (
     build_basis,
     evaluate,
     fit,
+    generate_cycle,
     segment_series,
     window_grow,
     window_init,
@@ -364,6 +365,35 @@ def test_larger_dpu_threshold_never_adds_segments():
     ]
     assert counts == sorted(counts, reverse=True)
     assert counts[0] > counts[-1]  # the sweep actually exercises both regimes
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SegmentationConfig(degree=5, th_dpu=0.5),
+        SegmentationConfig(degree=7, th_dpu=0.5),
+        SegmentationConfig(
+            degree=3, th_sss=6, sss_mode=SlopeSignMode.FIRST_DIFF_SIGN, sss_deadband=0.05
+        ),
+    ],
+    ids=["dpu-d5", "dpu-d7", "first-diff-sss"],
+)
+def test_a_level_offset_moves_no_boundary(config):
+    # The moments are kept about x = 0, so an offset of 1e6 costs about 1e-10
+    # of absolute precision in the fit, far below th_dpu and the deadband.
+    series = generate_cycle(n=3_000, seed=5)
+    base = segment_series(series, config).segments
+    assert len({s.closed_by for s in base}) == 2  # the criterion closes segments
+    for offset in (1e3, 1e6):
+        shifted = segment_series(series + offset, config).segments
+        assert [(s.start, s.end, s.closed_by) for s in shifted] == [
+            (s.start, s.end, s.closed_by) for s in base
+        ]
+        scale = float(np.abs(series).max()) + offset
+        for got, want in zip(shifted, base):
+            error = got.alpha.alpha - want.alpha.alpha
+            error[0] -= offset
+            assert float(np.abs(error).max()) <= 1e-12 * scale, (offset, got.index)
 
 
 # ---------------------------------------------------------------------------

@@ -203,19 +203,32 @@ def test_basis_bits_match_the_scalar_construction(k_max):
         assert _basis_bytes(basis.rows, basis.norms, basis.offsets) == want, (n, k_max)
 
 
-def test_kept_blocks_are_bounded_and_short_bases_stay_shared():
-    # Earlier tests may have filled the caches already; the bound holds either way.
+def test_kept_blocks_are_bounded_and_short_bases_keep_the_scalar_bits():
+    # Earlier tests may have filled the cache already; the bound holds either way.
     short = {n: build_basis(n, 6) for n in range(6, 1_024)}
     for start in range(1, 6):
         build_basis(start * 1_024 + 3, 6)
-        assert shape_space._build_block.cache_info().currsize <= shape_space._BLOCKS_KEPT
-    hits = shape_space._build_block.cache_info().hits
+        assert shape_space._block.cache_info().currsize <= shape_space._BLOCKS_KEPT
+    hits = shape_space._block.cache_info().hits
     build_basis(5 * 1_024 + 4, 6)  # the block used last is still kept
-    assert shape_space._build_block.cache_info().hits == hits + 1
+    assert shape_space._block.cache_info().hits == hits + 1
     for n, basis in short.items():
-        assert build_basis(n, 6) is basis, n
         want = _basis_bytes(*_scalar_build_basis(n, 6))
         assert _basis_bytes(basis.rows, basis.norms, basis.offsets) == want, n
+
+
+def test_a_new_block_costs_one_miss_for_the_basis_and_the_screen():
+    # Walking blocks 0..6 of degree 9 leaves only those in the cache, so
+    # block 7 (lengths 7 168..8 191) is new.
+    state = window_init(0, 9, sss_mode=None)
+    for _ in range(7 * 1_024):
+        window_grow(state, 1.0)
+    before = shape_space._block.cache_info()
+    window_grow(state, 1.0)  # length 7 168 reads its screen row
+    assert state.deviation < 1e-6  # the exact fit asks for the basis of 7 168
+    build_basis(7_168 + 500, 9)
+    after = shape_space._block.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 2)
 
 
 def test_threads_sharing_the_table_get_the_scalar_bits():
@@ -534,6 +547,16 @@ def test_window_grow_rejects_bad_input():
         window_grow(state, float("inf"))
     with pytest.raises(InvalidConfigError):
         window_init(0, degree=MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("sample", ["abc", None, [1.0], 10**400])
+def test_a_non_numeric_sample_raises_invalid_data(sample):
+    stream = SegmentStream(SegmentationConfig(degree=1, th_dpu=1.0))
+    stream.push(0.5)
+    with pytest.raises(InvalidDataError, match=r"^non-finite sample "):
+        stream.push(sample)
+    with pytest.raises(InvalidDataError, match=r"^non-finite sample "):
+        window_grow(window_init(0, degree=1), sample)
 
 
 def test_first_diff_switch_counting():
