@@ -157,14 +157,6 @@ def _packed_layout(degree: int) -> operator.itemgetter:
 _LAYOUTS = tuple(_packed_layout(degree) for degree in range(MAX_DEGREE + 1))
 
 
-def _block_lengths(start: int) -> np.ndarray:
-    """The window lengths start..start+_BLOCK_LEN-1 as exact integers."""
-    stop = start + _BLOCK_LEN
-    if stop <= _INT64_LEN_CAP:
-        return np.arange(start, stop, dtype=np.int64)
-    return np.array(range(start, stop), dtype=object)
-
-
 @lru_cache(maxsize=_BLOCKS_KEPT)
 def _block(start: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """(packed bases, screen tables) of the window lengths start..start+_BLOCK_LEN-1.
@@ -172,7 +164,11 @@ def _block(start: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     The one cache of this module: it keeps the _BLOCKS_KEPT blocks used most
     recently, over all degrees, and fills on first use, never at import.
     """
-    n = _block_lengths(start)
+    stop = start + _BLOCK_LEN
+    if stop <= _INT64_LEN_CAP:
+        n = np.arange(start, stop, dtype=np.int64)
+    else:
+        n = np.array(range(start, stop), dtype=object)
     packed = _pack_bases(n, degree)
     return packed, _screen_table(n, degree, packed)
 
