@@ -145,8 +145,8 @@ def criterion_3() -> None:
 
 def criterion_4() -> None:
     values = np.random.default_rng(4).normal(size=10_050)
-    # Fill the degree-5 basis cache for the short lengths first, so that the
-    # first repetition times per-point cost rather than cache warm-up.
+    # Build the first degree-5 block (bases and screen tables) first, so that
+    # the first repetition times per-point cost rather than the block build.
     warm = window_init(0, degree=5)
     for v in values[:150]:
         window_grow(warm, float(v))

@@ -218,8 +218,8 @@ def test_kept_blocks_are_bounded_and_short_bases_keep_the_scalar_bits():
 
 
 def test_a_new_block_costs_one_miss_for_the_basis_and_the_screen():
-    # Walking blocks 0..6 of degree 9 leaves only those in the cache, so
-    # block 7 (lengths 7 168..8 191) is new.
+    # Walking blocks 0..6 of degree 9 leaves only blocks 4..6 in the cache,
+    # so block 7 (lengths 7 168..8 191) is new.
     state = window_init(0, 9, sss_mode=None)
     for _ in range(7 * 1_024):
         window_grow(state, 1.0)
