@@ -53,6 +53,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RULES = 4
 
+# The coefficient orders that fcpd cluster groups segments by: slope and curvature.
+_CLUSTER_PAIR = (1, 2)
+
 
 # ---------------------------------------------------------------------------
 # Ingestion and normalization
@@ -206,11 +209,11 @@ def run_query(series, config: RunConfig) -> QueryResult:
     scored: list[ScoredSegment] = []
     skipped: list[SkippedSegment] = []
     for segment, record in zip(segmentation.segments, records):
-        missing = tuple(key for key in key_map.values() if record.values.get(key) is None)
+        missing = tuple(key for key in key_map.values() if record.get(key) is None)
         if missing:
             skipped.append(SkippedSegment(segment.index, missing))
             continue
-        result = infer(fis, {name: record.values[key] for name, key in key_map.items()})
+        result = infer(fis, {name: record[key] for name, key in key_map.items()})
         scored.append(ScoredSegment(segment, result.score, result.degenerate))
     scored.sort(key=lambda s: (-s.score, s.segment.index))
     return QueryResult(tuple(scored), tuple(skipped), segmentation)
@@ -412,11 +415,16 @@ def _cmd_query(args) -> int:
 
 def _cmd_cluster(args) -> int:
     series = _load_series(args)
-    # kmeans_points checks these too, but only once the series is segmented.
+    # kmeans_segments checks these too, but only once the series is segmented.
     seed = check_int("seed", _resolve_seed(args), 0)
     k = check_int("k", args.clusters, 1)
-    segmentation = segment_series(series, _segmentation_from_args(args))
-    result = kmeans_segments(segmentation, k=k, seed=seed, feature_pair=(1, 2))
+    config = _segmentation_from_args(args)
+    if config.degree < max(_CLUSTER_PAIR):
+        raise InvalidConfigError(
+            f"--degree must be >= {max(_CLUSTER_PAIR)} for cluster, got {config.degree}"
+        )
+    segmentation = segment_series(series, config)
+    result = kmeans_segments(segmentation, k=k, seed=seed, feature_pair=_CLUSTER_PAIR)
     members = [
         (segmentation.segments[index], cluster, index in result.representatives)
         for index, cluster in zip(result.segment_indices, result.assignments)

@@ -20,7 +20,6 @@ canonical names via resolve_feature_name().
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidConfigError, MissingFeatureError, check_int, check_real
@@ -40,14 +39,6 @@ _ALIASES = {
 
 # Groups: alpha_k order, var_alpha order and delay, var_size delay.
 _CANONICAL_RE = re.compile(r"^(?:alpha_(\d+)|var_alpha_(\d+)_(\d+)|size|var_size_(\d+))$")
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    """Feature values of one segment; None encodes MISSING."""
-
-    segment_index: int
-    values: dict[str, float | None]
 
 
 def _as_segments(segments) -> tuple[Segment, ...]:
@@ -100,8 +91,13 @@ def size_features(segments, d: int = 1) -> tuple[list[float], list[float | None]
     return sizes, _variations(sizes, d, 1e-9)
 
 
-def build_records(segments, d: int = 1, epsilon: float = 1e-9) -> list[FeatureRecord]:
-    """All features of every segment, keyed by canonical feature names."""
+def build_records(
+    segments, d: int = 1, epsilon: float = 1e-9
+) -> list[dict[str, float | None]]:
+    """All features of every segment, one dict per segment in segment order.
+
+    Keys are canonical feature names; None encodes MISSING.
+    """
     check_int("delay", d, 1)
     check_real("epsilon", epsilon, 0)
     segs = _as_segments(segments)
@@ -115,13 +111,7 @@ def build_records(segments, d: int = 1, epsilon: float = 1e-9) -> list[FeatureRe
         columns[f"var_alpha_{k}_{d}"] = _variations(columns[f"alpha_{k}"], d, epsilon)
     columns["size"] = list(sizes)
     columns[f"var_size_{d}"] = var_sizes
-    return [
-        FeatureRecord(
-            segment_index=i,
-            values={name: column[i] for name, column in columns.items()},
-        )
-        for i in range(len(segs))
-    ]
+    return [{name: column[i] for name, column in columns.items()} for i in range(len(segs))]
 
 
 def resolve_feature_name(name: str, degree: int, d: int = 1) -> str:

@@ -453,12 +453,12 @@ def print_document(doc: QueryDocument) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def to_fis(doc: QueryDocument, resolution: int | None = None) -> FisConfig:
+def to_fis(doc: QueryDocument) -> FisConfig:
     """Assemble the inference system a document describes.
 
     The output variable is the one all rule consequents agree on; every other
-    declared variable becomes an input.  ``resolution`` overrides the
-    document's ``set resolution`` option.
+    declared variable becomes an input.  The output grid has the document's
+    ``set resolution`` points, 1001 by default.
     """
     if not doc.rules:
         raise DslValueError("document declares no rules", 1, 1)
@@ -472,8 +472,7 @@ def to_fis(doc: QueryDocument, resolution: int | None = None) -> FisConfig:
     if output is None:
         raise UnknownReferenceError(f"variable {output_name!r} is not declared", 1, 1)
     inputs = tuple(v for v in doc.variables if v.name != output_name)
-    if resolution is None:
-        resolution = int(doc.options.get("resolution", 1001))
+    resolution = int(doc.options.get("resolution", 1001))
     try:
         return FisConfig(inputs=inputs, output=output, rules=doc.rules, resolution=resolution)
     except InvalidConfigError as exc:

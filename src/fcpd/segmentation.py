@@ -147,10 +147,6 @@ class SegmentStream:
         return window_init(start_index, cfg.degree, self._sss_mode, cfg.sss_deadband)
 
     @property
-    def config(self) -> SegmentationConfig:
-        return self._config
-
-    @property
     def state(self) -> WindowState:
         return self._state
 
@@ -215,7 +211,12 @@ def segment_series(
     config: SegmentationConfig,
     trigger: TriggerFn | None = None,
 ) -> Segmentation:
-    """Segment a complete series; identical to replaying it through a SegmentStream."""
+    """Segment a complete series; identical to replaying it through a SegmentStream.
+
+    Unlike the stream, which ends such a series in one unfitted
+    END_OF_STREAM segment, it raises InsufficientDataError when the series
+    holds fewer than degree + 1 samples.
+    """
     y = validate_series(series)
     if y.size < config.degree + 1:
         raise InsufficientDataError(

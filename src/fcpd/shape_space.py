@@ -65,14 +65,6 @@ _NORM_FACTORS = tuple(
 )
 
 
-def squared_norm(k: int, window_len: int) -> float:
-    """Closed-form squared norm sum_{n=0}^{window_len} p_k(n)^2.
-
-    ``k`` ranges over 0..min(window_len, MAX_DEGREE), as in build_basis.
-    """
-    return build_basis(window_len, k).norms[k]
-
-
 @dataclass(frozen=True)
 class OrthoBasis:
     """Monic discrete Chebyshev basis on the grid 0..window_len, orders 0..degree.
@@ -137,9 +129,11 @@ def _fitted(alpha, x: float, window_len: int, offsets) -> float:
 
 # Bases and screen tables are built in blocks of _BLOCK_LEN consecutive window
 # lengths, one numpy pass per block, and the _BLOCKS_KEPT blocks used most
-# recently are kept (see _block).
+# recently are kept (see _block).  Eight blocks hold every length of a window
+# up to 8 192 samples, so a stream whose windows stay below that builds each
+# block once, not once per window; at degree 10 they hold at most about 7.4 MB.
 _BLOCK_LEN = 1024
-_BLOCKS_KEPT = 3
+_BLOCKS_KEPT = 8
 # Up to this n + 1, k^2 (n+1)^2 fits in int64 for every k <= MAX_DEGREE;
 # blocks reaching past it do their integer arithmetic in Python ints.
 _INT64_LEN_CAP = math.isqrt((2**63 - 1) // MAX_DEGREE**2)
@@ -308,9 +302,6 @@ class ShapeVector:
         arr.flags.writeable = False
         object.__setattr__(self, "alpha", arr)
 
-    def __getitem__(self, k: int) -> float:
-        return float(self.alpha[k])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ShapeVector):
             return NotImplemented
@@ -319,18 +310,6 @@ class ShapeVector:
             and self.degree == other.degree
             and bool(np.array_equal(self.alpha, other.alpha))
         )
-
-    @property
-    def average(self) -> float:
-        return float(self.alpha[0])
-
-    @property
-    def slope(self) -> float | None:
-        return float(self.alpha[1]) if self.degree >= 1 else None
-
-    @property
-    def curvature(self) -> float | None:
-        return float(self.alpha[2]) if self.degree >= 2 else None
 
 
 def fit(window, degree: int) -> ShapeVector:

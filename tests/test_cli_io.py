@@ -189,7 +189,7 @@ def test_run_query_scores_sorted_by_score_then_index():
     # The elevated plateau outranks the flat ones.  The jump sample itself
     # belongs to the segment it closed, so the plateau starts one later.
     assert result.scored[0].segment.start == 13
-    assert result.scored[0].segment.alpha.average > 2.0
+    assert result.scored[0].segment.alpha.alpha[0] > 2.0
 
 
 def test_run_query_reports_every_segment_once():
@@ -474,6 +474,8 @@ def test_cli_cluster_too_many_clusters(tmp_path, capsys):
         (["--clusters", "0"], None, "k must be an integer >= 1, got 0"),
         (["--seed", "-1"], None, "seed must be an integer >= 0, got -1"),
         ([], "-1", "seed must be an integer >= 0, got -1"),
+        (["--degree", "1"], None, "--degree must be >= 2 for cluster, got 1"),
+        (["--degree", "0"], None, "--degree must be >= 2 for cluster, got 0"),
     ],
 )
 def test_cli_cluster_checks_its_options_before_segmenting(

@@ -9,7 +9,6 @@ import pytest
 
 from fcpd import (
     ClosedBy,
-    FeatureRecord,
     InvalidConfigError,
     MissingFeatureError,
     Segment,
@@ -99,8 +98,8 @@ def test_tail_without_coefficients_propagates_missing():
     variations = variation_feature(segs, 0)
     assert variations == [None, pytest.approx(0.5), None]
     records = build_records(segs)
-    assert records[2].values["alpha_0"] is None
-    assert records[2].values["size"] == 2.0
+    assert records[2]["alpha_0"] is None
+    assert records[2]["size"] == 2.0
 
 
 def test_variations_are_scale_invariant():
@@ -127,16 +126,14 @@ def test_records_are_causal():
 
 def test_record_keys_cover_all_feature_families():
     records = build_records(_constant_segments([1.0, 2.0], degree=2), d=1)
-    assert isinstance(records[0], FeatureRecord)
-    assert records[0].segment_index == 0
-    assert set(records[0].values) == {
+    assert set(records[0]) == {
         "alpha_0", "alpha_1", "alpha_2",
         "var_alpha_0_1", "var_alpha_1_1", "var_alpha_2_1",
         "size", "var_size_1",
     }
     deep = build_records(_constant_segments([1.0, 2.0], degree=2), d=2)
-    assert "var_alpha_0_2" in deep[0].values
-    assert "var_size_2" in deep[0].values
+    assert "var_alpha_0_2" in deep[0]
+    assert "var_size_2" in deep[0]
 
 
 def test_alias_resolution():

@@ -320,7 +320,6 @@ def test_to_fis_splits_inputs_from_the_output():
     assert [v.name for v in fis.inputs] == ["a", "b", "c"]
     assert fis.output.name == "score"
     assert fis.resolution == 501
-    assert to_fis(doc, resolution=2001).resolution == 2001
     assert fis.input_variables_referenced() == ("a", "b")
 
 

@@ -25,7 +25,6 @@ from fcpd import (
     build_basis,
     evaluate,
     fit,
-    squared_norm,
     validate_series,
     window_grow,
     window_init,
@@ -75,7 +74,7 @@ def test_squared_norm_matches_exact_inner_product():
         for k in range(k_max + 1):
             p = exact[k]
             want = float(sum(sum(c * Fraction(x) ** j for j, c in enumerate(p)) ** 2 for x in range(n + 1)))
-            assert squared_norm(k, n) == pytest.approx(want, rel=1e-12)
+            assert build_basis(n, k).norms[k] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -83,14 +82,14 @@ def test_squared_norm_matches_exact_inner_product():
     [(0, 4, 5.0), (1, 2, 2.0), (1, 8, 60.0), (2, 2, 2.0 / 3.0)],
 )
 def test_squared_norm_goldens(k, n, expected):
-    assert squared_norm(k, n) == pytest.approx(expected, rel=1e-12)
+    assert build_basis(n, k).norms[k] == pytest.approx(expected, rel=1e-12)
 
 
 def test_squared_norm_rejects_orders_outside_the_basis():
-    assert squared_norm(MAX_DEGREE, 50) == build_basis(50, MAX_DEGREE).sq_norms[-1]
+    assert build_basis(50, MAX_DEGREE).norms[MAX_DEGREE] == build_basis(50, MAX_DEGREE).sq_norms[-1]
     for k, n in [(-1, 5), (3, 2), (MAX_DEGREE + 1, 50)]:
         with pytest.raises(InvalidConfigError):
-            squared_norm(k, n)
+            build_basis(n, k).norms[k]
 
 
 def test_basis_orthogonality_random():
@@ -206,20 +205,23 @@ def test_basis_bits_match_the_scalar_construction(k_max):
 def test_kept_blocks_are_bounded_and_short_bases_keep_the_scalar_bits():
     # Earlier tests may have filled the cache already; the bound holds either way.
     short = {n: build_basis(n, 6) for n in range(6, 1_024)}
-    for start in range(1, 6):
+    last = shape_space._BLOCKS_KEPT + 2
+    for start in range(1, last + 1):
         build_basis(start * 1_024 + 3, 6)
         assert shape_space._block.cache_info().currsize <= shape_space._BLOCKS_KEPT
-    hits = shape_space._block.cache_info().hits
-    build_basis(5 * 1_024 + 4, 6)  # the block used last is still kept
-    assert shape_space._block.cache_info().hits == hits + 1
+    before = shape_space._block.cache_info()
+    build_basis(last * 1_024 + 4, 6)  # the block used last is still kept
+    build_basis(100, 6)  # block 0 was evicted by the blocks walked since
+    after = shape_space._block.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
     for n, basis in short.items():
         want = _basis_bytes(*_scalar_build_basis(n, 6))
         assert _basis_bytes(basis.rows, basis.norms, basis.offsets) == want, n
 
 
 def test_a_new_block_costs_one_miss_for_the_basis_and_the_screen():
-    # Walking blocks 0..6 of degree 9 leaves only blocks 4..6 in the cache,
-    # so block 7 (lengths 7 168..8 191) is new.
+    # Walking blocks 0..6 of degree 9 keeps them all in the cache, and block 7
+    # (lengths 7 168..8 191) is new.
     state = window_init(0, 9, sss_mode=None)
     for _ in range(7 * 1_024):
         window_grow(state, 1.0)
@@ -229,6 +231,17 @@ def test_a_new_block_costs_one_miss_for_the_basis_and_the_screen():
     build_basis(7_168 + 500, 9)
     after = shape_space._block.cache_info()
     assert (after.misses, after.hits) == (before.misses + 1, before.hits + 2)
+
+
+def test_a_second_long_window_rebuilds_no_block():
+    # A window of 4 500 samples walks blocks 0..4; all five stay kept, so the
+    # next window of a long stream finds every block it reads.
+    for _ in range(2):
+        before = shape_space._block.cache_info().misses
+        state = window_init(0, 7, sss_mode=None)
+        for _ in range(4_500):
+            window_grow(state, 1.0)
+    assert shape_space._block.cache_info().misses == before
 
 
 def test_threads_sharing_the_table_get_the_scalar_bits():
@@ -470,11 +483,7 @@ def test_fit_and_basis_errors():
 
 def test_shape_vector_accessors():
     shape = ShapeVector(alpha=np.array([1.0, 2.0, 3.0]), window_len=9, degree=2)
-    assert shape[0] == 1.0 and shape[2] == 3.0
-    assert shape.average == 1.0
-    assert shape.slope == 2.0
-    assert shape.curvature == 3.0
-    assert ShapeVector(alpha=np.array([4.0]), window_len=9, degree=0).slope is None
+    assert shape.alpha.tolist() == [1.0, 2.0, 3.0]
     with pytest.raises(ValueError):
         shape.alpha[0] = 0.0  # frozen storage
 
