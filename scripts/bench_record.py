@@ -8,7 +8,8 @@ that ``perfbench/run.py`` wrote in one checkout.  The output keeps every run
 with its side, seed and finishing time, the order in which the runs
 finished, the Python, numpy and CPU details of the host (so run it on the
 host that ran the benchmark), and, per workload and end-to-end metric, the
-medians of both sides, the parent's quartiles and the pairs the change won.
+medians of both sides, the parent's quartiles, the pairs the change won, the
+metric's bound from BENCHMARK.json and a verdict (see verdict()).
 """
 
 from __future__ import annotations
@@ -59,7 +60,28 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], lower_is_better: bool,
+            bound: float, quartiles: list[float]) -> str:
+    """How the change's runs of one metric compare with the parent's.
+
+    ``better`` when every change run beats every parent run; else
+    ``unresolved`` when the parent's quartile spread exceeds ``bound`` times
+    its median, since a shift within the bound could not be told from noise;
+    else ``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` of it; else ``within_bound``.
+    """
+    if max(change) < min(parent) if lower_is_better else min(change) > max(parent):
+        return "better"
+    parent_median = statistics.median(parent)
+    if quartiles[2] - quartiles[0] > bound * parent_median:
+        return "unresolved"
+    loss = statistics.median(change) - parent_median
+    if (loss if lower_is_better else -loss) > bound * parent_median:
+        return "worse"
+    return "within_bound"
+
+
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per workload and end-to-end metric, over untraced runs paired by seed."""
     summary: dict = {}
     untraced = [r for r in runs if r["trace"] == 0]
@@ -87,6 +109,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "parent_q1": quartiles[0],
                 "parent_q3": quartiles[2],
                 "change_better_pairs": f"{wins}/{len(pairs)}",
+                "bound": bounds[name],
+                "verdict": verdict(parent, change, direction == "lower", bounds[name], quartiles),
             }
     return summary
 
@@ -107,6 +131,7 @@ def main(argv=None) -> int:
     runs.sort(key=lambda r: r["finished"])
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     record = {
         "parent_rev": args.parent_rev,
         "change_rev": args.change_rev,
@@ -119,7 +144,7 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
         },
         "order": [f"{r['side']} {r['workload']} seed{r['seed']} trace{r['trace']}" for r in runs],
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds),
         "runs": runs,
     }
     args.output.write_text(json.dumps(record, indent=2) + "\n")

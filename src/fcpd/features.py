@@ -91,13 +91,8 @@ def size_features(segments, d: int = 1) -> tuple[list[float], list[float | None]
     return sizes, _variations(sizes, d, 1e-9)
 
 
-def build_records(
-    segments, d: int = 1, epsilon: float = 1e-9
-) -> list[dict[str, float | None]]:
-    """All features of every segment, one dict per segment in segment order.
-
-    Keys are canonical feature names; None encodes MISSING.
-    """
+def build_records(segments, d: int = 1, epsilon: float = 1e-9) -> list[dict[str, float | None]]:
+    """One dict per segment, in order: every feature keyed by canonical name, None if MISSING."""
     check_int("delay", d, 1)
     check_real("epsilon", epsilon, 0)
     segs = _as_segments(segments)

@@ -86,7 +86,8 @@ def test_squared_norm_goldens(k, n, expected):
 
 
 def test_squared_norm_rejects_orders_outside_the_basis():
-    assert build_basis(50, MAX_DEGREE).norms[MAX_DEGREE] == build_basis(50, MAX_DEGREE).sq_norms[-1]
+    basis = build_basis(50, MAX_DEGREE)
+    assert basis.norms[MAX_DEGREE] == basis.sq_norms[-1]
     for k, n in [(-1, 5), (3, 2), (MAX_DEGREE + 1, 50)]:
         with pytest.raises(InvalidConfigError):
             build_basis(n, k).norms[k]
@@ -236,11 +237,14 @@ def test_a_new_block_costs_one_miss_for_the_basis_and_the_screen():
 def test_a_second_long_window_rebuilds_no_block():
     # A window of 4 500 samples walks blocks 0..4; all five stay kept, so the
     # next window of a long stream finds every block it reads.
-    for _ in range(2):
-        before = shape_space._block.cache_info().misses
+    def grow_window():
         state = window_init(0, 7, sss_mode=None)
         for _ in range(4_500):
             window_grow(state, 1.0)
+
+    grow_window()
+    before = shape_space._block.cache_info().misses
+    grow_window()
     assert shape_space._block.cache_info().misses == before
 
 
