@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidDataError, check_int, check_real
+from .errors import InvalidConfigError, InvalidDataError, as_floats, check_int, check_real
 from .segmentation import Segmentation
 
 
@@ -83,7 +83,7 @@ def kmeans_points(
     Convergence is assignment stabilization (or max_iter).  The best of
     n_init restarts by within-cluster sum of squares wins.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = as_floats("point array", points)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise InvalidDataError(f"expected a non-empty 2-D point array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
@@ -169,7 +169,10 @@ def sensitivity_bounds(scores, top_n: int = 3, segment_count: int | None = None)
     With fewer than top_n scores, whatever exists is averaged and the counts
     say so.  segment_count, at least the number of scores, defaults to it.
     """
-    values = [float(s) for s in scores]
+    arr = as_floats("score list", scores)
+    if arr.ndim != 1:
+        raise InvalidDataError(f"scores must be a 1-D sequence, got shape {arr.shape}")
+    values = arr.tolist()
     if not values:
         raise InvalidDataError("sensitivity_bounds needs at least one score")
     if any(not math.isfinite(v) for v in values):
@@ -227,8 +230,10 @@ def change_point_offsets(reference, candidate) -> OffsetResult:
     still-unmatched candidate (ties go to the earlier candidate).  An empty
     candidate list yields a no-matches result.
     """
-    ref = sorted(float(r) for r in reference)
-    cand = sorted(float(c) for c in candidate)
+    ref, cand = (as_floats("boundary list", v) for v in (reference, candidate))
+    if ref.ndim != 1 or cand.ndim != 1:
+        raise InvalidDataError("boundary indices must be 1-D sequences")
+    ref, cand = sorted(ref.tolist()), sorted(cand.tolist())
     if any(not math.isfinite(v) for v in ref + cand):
         raise InvalidDataError("boundary indices must be finite")
     available = list(range(len(cand)))

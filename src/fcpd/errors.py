@@ -1,11 +1,14 @@
 """Shared exception types for the fcpd library, and the checks of option values.
 
 check_int and check_real hold the one rule for a valid integer option and a
-valid real threshold; every entry point that takes one calls them.
+valid real threshold; every entry point that takes one calls them.  as_floats
+is the one conversion of input data to numbers.
 """
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class FcpdError(Exception):
@@ -57,3 +60,15 @@ def check_real(name: str, value, lo: float, *, strict: bool = True) -> None:
         raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
     if value <= lo if strict else value < lo:
         raise InvalidConfigError(f"{name} must be {'>' if strict else '>='} {lo}, got {value}")
+
+
+def as_floats(what: str, values) -> np.ndarray:
+    """``values`` as a float64 array of any shape.
+
+    Raises InvalidDataError naming ``what`` when an entry is not a number, is
+    an int too large for a float, or the nesting is ragged.
+    """
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidDataError(f"{what} is not numeric: {exc}") from None

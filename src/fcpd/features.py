@@ -20,10 +20,9 @@ canonical names via resolve_feature_name().
 from __future__ import annotations
 
 import re
-from typing import Sequence
 
-from .errors import InvalidConfigError, MissingFeatureError, check_int, check_real
-from .segmentation import Segment, Segmentation
+from .errors import InvalidDataError, MissingFeatureError, check_int, check_real
+from .segmentation import Segmentation
 
 # Alias -> canonical name; {d} is the run's delay.
 _ALIASES = {
@@ -41,71 +40,35 @@ _ALIASES = {
 _CANONICAL_RE = re.compile(r"^(?:alpha_(\d+)|var_alpha_(\d+)_(\d+)|size|var_size_(\d+))$")
 
 
-def _as_segments(segments) -> tuple[Segment, ...]:
-    if isinstance(segments, Segmentation):
-        return segments.segments
-    return tuple(segments)
-
-
-def _variations(
-    values: Sequence[float | None], d: int, epsilon: float
-) -> list[float | None]:
-    out: list[float | None] = []
-    for t, current in enumerate(values):
-        if t < d:
-            out.append(None)
-            continue
-        base = values[t - d]
-        if current is None or base is None or abs(base) < epsilon:
-            out.append(None)
-            continue
-        out.append((current - base) / base)
-    return out
-
-
-def coefficient_feature(segments, k: int) -> list[float | None]:
-    """alpha_k of each segment; None for segments without a coefficient vector."""
-    segs = _as_segments(segments)
-    check_int("coefficient order", k, 0)
-    degrees = [s.alpha.degree for s in segs if s.alpha is not None]
-    if degrees and k > max(degrees):
-        raise InvalidConfigError(
-            f"coefficient order {k} out of range for degree {max(degrees)}"
-        )
-    return [None if s.alpha is None else float(s.alpha.alpha[k]) for s in segs]
-
-
-def variation_feature(
-    segments, k: int, d: int = 1, epsilon: float = 1e-9
-) -> list[float | None]:
-    """Relative change of alpha_k over a delay of d segments, attached to the later one."""
-    check_int("delay", d, 1)
-    check_real("epsilon", epsilon, 0)
-    return _variations(coefficient_feature(segments, k), d, epsilon)
-
-
-def size_features(segments, d: int = 1) -> tuple[list[float], list[float | None]]:
-    """Segment sample counts and their relative variations at delay d."""
-    check_int("delay", d, 1)
-    sizes = [float(s.length) for s in _as_segments(segments)]
-    return sizes, _variations(sizes, d, 1e-9)
+def _variations(values: list[float | None], d: int, epsilon: float) -> list[float | None]:
+    # Attached to the later segment; the first d have no base.
+    changes = [
+        None if now is None or base is None or abs(base) < epsilon else (now - base) / base
+        for base, now in zip(values, values[d:])
+    ]
+    return [None] * min(d, len(values)) + changes
 
 
 def build_records(segments, d: int = 1, epsilon: float = 1e-9) -> list[dict[str, float | None]]:
-    """One dict per segment, in order: every feature keyed by canonical name, None if MISSING."""
+    """One dict per segment, in order: every feature keyed by canonical name, None if MISSING.
+
+    Raises InvalidDataError when the segments' fits differ in degree.
+    """
     check_int("delay", d, 1)
     check_real("epsilon", epsilon, 0)
-    segs = _as_segments(segments)
-    degrees = [s.alpha.degree for s in segs if s.alpha is not None]
-    degree = max(degrees) if degrees else -1
-    sizes, var_sizes = size_features(segs, d)
+    segs = segments.segments if isinstance(segments, Segmentation) else tuple(segments)
+    degrees = {s.alpha.degree for s in segs if s.alpha is not None}
+    if len(degrees) > 1:
+        raise InvalidDataError(f"segments must share one fit degree, got {sorted(degrees)}")
+    degree = max(degrees, default=-1)
+    alphas = [None if s.alpha is None else s.alpha.alpha.tolist() for s in segs]
     columns: dict[str, list[float | None]] = {}
     for k in range(degree + 1):
-        columns[f"alpha_{k}"] = coefficient_feature(segs, k)
+        columns[f"alpha_{k}"] = [None if alpha is None else alpha[k] for alpha in alphas]
     for k in range(degree + 1):
         columns[f"var_alpha_{k}_{d}"] = _variations(columns[f"alpha_{k}"], d, epsilon)
-    columns["size"] = list(sizes)
-    columns[f"var_size_{d}"] = var_sizes
+    columns["size"] = [float(s.length) for s in segs]
+    columns[f"var_size_{d}"] = _variations(columns["size"], d, epsilon)
     return [{name: column[i] for name, column in columns.items()} for i in range(len(segs))]
 
 

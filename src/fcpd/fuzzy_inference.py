@@ -32,17 +32,16 @@ class MembershipFunction:
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _MF_ARITY:
+        if not isinstance(self.kind, str) or self.kind not in _MF_ARITY:
             raise InvalidConfigError(
                 f"unknown membership kind {self.kind!r}; expected one of {sorted(_MF_ARITY)}"
             )
+        arity = _MF_ARITY[self.kind]
+        if not isinstance(self.params, (tuple, list)) or len(self.params) != arity:
+            raise InvalidConfigError(f"{self.kind} takes {arity} parameters, got {self.params!r}")
+        for p in self.params:
+            check_real("membership parameter", p, -math.inf)
         params = tuple(float(p) for p in self.params)
-        if len(params) != _MF_ARITY[self.kind]:
-            raise InvalidConfigError(
-                f"{self.kind} takes {_MF_ARITY[self.kind]} parameters, got {len(params)}"
-            )
-        if not all(math.isfinite(p) for p in params):
-            raise InvalidConfigError(f"membership parameters must be finite, got {params}")
         if self.kind == "tri":
             a, b, c = params
             if not (a <= b <= c) or a == c:
@@ -148,10 +147,11 @@ class LinguisticVariable:
     def __post_init__(self) -> None:
         if not self.name:
             raise InvalidConfigError("variable name must be non-empty")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or not self.lo < self.hi:
+        check_real(f"variable {self.name!r} lo", self.lo, -math.inf)
+        check_real(f"variable {self.name!r} hi", self.hi, -math.inf)
+        if not self.lo < self.hi:
             raise InvalidConfigError(
-                f"variable {self.name!r} needs a finite domain with lo < hi, "
-                f"got [{self.lo}, {self.hi}]"
+                f"variable {self.name!r} needs lo < hi, got [{self.lo}, {self.hi}]"
             )
         if not self.sets:
             raise InvalidConfigError(f"variable {self.name!r} declares no fuzzy sets")
@@ -289,12 +289,15 @@ class InferenceResult:
 def _eval_expr(expr: Expr, variables: Mapping[str, LinguisticVariable], values) -> float:
     if isinstance(expr, Atom):
         var = variables[expr.variable]
-        raw = values.get(expr.variable)
-        if raw is None or not math.isfinite(float(raw)):
+        try:
+            x = float(values.get(expr.variable))
+        except (TypeError, ValueError, OverflowError):  # None, text, a list, an int past 1e308
+            x = math.nan
+        if not math.isfinite(x):
             raise MissingFeatureError(
                 f"no finite value for input variable {expr.variable!r}"
             )
-        x = min(max(float(raw), var.lo), var.hi)
+        x = min(max(x, var.lo), var.hi)
         degree = mf_eval(var.sets[expr.fuzzy_set], x)
         return 1.0 - degree if expr.negated else degree
     if isinstance(expr, And):

@@ -33,6 +33,7 @@ variables or sets (UnknownReferenceError), membership arity mismatches
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -229,9 +230,13 @@ class _Parser:
             set_name, mf = self._parse_set_decl(sets)
             sets[set_name] = mf
         self._expect("punct", "}")
-        self.variables[name_tok.text] = LinguisticVariable(
-            name=name_tok.text, lo=lo_tok.value, hi=hi_tok.value, sets=sets
-        )
+        try:
+            self.variables[name_tok.text] = LinguisticVariable(
+                name=name_tok.text, lo=lo_tok.value, hi=hi_tok.value, sets=sets
+            )
+        except InvalidConfigError as exc:  # a bound such as 1e999 reads as inf
+            bound_tok = hi_tok if math.isfinite(lo_tok.value) else lo_tok
+            raise DslValueError(str(exc), bound_tok.line, bound_tok.col) from None
 
     def _parse_set_decl(self, existing: dict) -> tuple[str, MembershipFunction]:
         name_tok = self._expect("ident", what="a set name")

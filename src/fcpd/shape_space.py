@@ -37,17 +37,21 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidConfigError, InvalidDataError, check_int, check_real
+from .errors import (
+    InsufficientDataError,
+    InvalidConfigError,
+    InvalidDataError,
+    as_floats,
+    check_int,
+    check_real,
+)
 
 MAX_DEGREE = 10
 
 
 def validate_series(values) -> np.ndarray:
     """Coerce ``values`` to a 1-D float64 array, rejecting empty and non-finite input."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDataError(f"series is not numeric: {exc}") from None
+    arr = as_floats("series", values)
     if arr.ndim != 1:
         raise InvalidDataError(f"expected a 1-D sequence, got shape {arr.shape}")
     if arr.size == 0:

@@ -381,6 +381,20 @@ def test_cli_exit_code_rules_error(tmp_path, capsys):
     assert err.startswith("error: line 1")
 
 
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ("[-1, 1e999]", "column 18: variable 'average' hi must be a finite number, got inf"),
+        ("[-1e999, 6]", "column 14: variable 'average' lo must be a finite number, got -inf"),
+    ],
+)
+def test_cli_exit_code_infinite_domain_bound(tmp_path, capsys, domain, message):
+    series_path = _write_series(tmp_path, _step_series())
+    rules_path = _write_rules(tmp_path, STEP_RULES.replace("[-1, 6]", domain))
+    code, out, err = _run(capsys, ["query", series_path, "--rules", rules_path, "--th-dpu", "1"])
+    assert (code, out, err) == (4, "", f"error: line 1, {message}\n")
+
+
 def test_cli_exit_code_unknown_feature(tmp_path, capsys):
     series_path = _write_series(tmp_path, _step_series())
     rules_path = _write_rules(tmp_path, STEP_RULES.replace("average", "velocity"))

@@ -1,5 +1,6 @@
 """One rule for integer options and real thresholds, at every entry point
-that takes one (fcpd.errors.check_int and check_real)."""
+that takes one (fcpd.errors.check_int and check_real), and one conversion of
+input data to numbers (fcpd.errors.as_floats)."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 from fcpd import (
     Atom,
     InvalidConfigError,
+    InvalidDataError,
     LevelShift,
     NoiseBurst,
     Rule,
@@ -19,7 +21,7 @@ from fcpd import (
     SegmentStream,
     build_basis,
     build_records,
-    coefficient_feature,
+    change_point_offsets,
     fit,
     generate_cycle,
     kmeans_points,
@@ -28,9 +30,8 @@ from fcpd import (
     resolve_feature_name,
     segment_series,
     sensitivity_bounds,
-    size_features,
     to_fis,
-    variation_feature,
+    validate_series,
     window_init,
 )
 
@@ -55,11 +56,10 @@ INTEGER_OPTIONS = [
     ("degree", lambda v: SegmentationConfig(degree=v, th_dpu=1.0), 2, False),
     ("th_sss", lambda v: SegmentationConfig(degree=2, th_sss=v), 1, True),
     ("min_segment_len", lambda v: dataclasses.replace(CONFIG, min_segment_len=v), 4, True),
-    ("delay", lambda v: variation_feature(SEGMENTS, 0, d=v), 2, False),
-    ("delay", lambda v: size_features(SEGMENTS, d=v), 2, False),
+    ("delay", lambda v: [r[f"var_alpha_0_{v}"] for r in build_records(SEGMENTS, d=v)], 2, False),
+    ("delay", lambda v: [r[f"var_size_{v}"] for r in build_records(SEGMENTS, d=v)], 2, False),
     ("delay", lambda v: build_records(SEGMENTS, d=v), 2, False),
     ("delay", lambda v: resolve_feature_name("var_average", 2, v), 2, False),
-    ("coefficient order", lambda v: coefficient_feature(SEGMENTS, v), 1, False),
     ("k", lambda v: kmeans_points(POINTS, v, seed=0), 2, False),
     ("seed", lambda v: kmeans_points(POINTS, 2, seed=v), 7, False),
     ("n_init", lambda v: kmeans_points(POINTS, 2, seed=0, n_init=v), 2, False),
@@ -80,7 +80,12 @@ REAL_THRESHOLDS = [
     ("th_dpu", lambda v: SegmentationConfig(degree=2, th_sss=1, th_dpu=v), 0.5, True),
     ("sss_deadband", lambda v: SegmentationConfig(2, th_sss=1, sss_deadband=v), 0.01, False),
     ("sss_deadband", lambda v: window_init(0, 2, sss_deadband=v), 0.0, False),
-    ("epsilon", lambda v: variation_feature(SEGMENTS, 0, epsilon=v), 1e-9, False),
+    (
+        "epsilon",
+        lambda v: [r["var_alpha_0_1"] for r in build_records(SEGMENTS, epsilon=v)],
+        1e-9,
+        False,
+    ),
     ("epsilon", lambda v: build_records(SEGMENTS, epsilon=v), 1e-9, False),
     ("epsilon", lambda v: RunConfig(CONFIG, rules_text=RULES, epsilon=v).rules, 1e-9, False),
     ("period", lambda v: generate_cycle(n=50, period=v, anomalies=()), 20.0, False),
@@ -151,3 +156,22 @@ def test_bounds_are_named_in_the_message(call, message):
         call()
     assert str(info.value) == message
 
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: validate_series([10**400]),
+        lambda: sensitivity_bounds(["x"]),
+        lambda: sensitivity_bounds([None]),
+        lambda: sensitivity_bounds(3),
+        lambda: change_point_offsets(["x"], [1]),
+        lambda: kmeans_points([["a", "b"]], 1, 0),
+        lambda: kmeans_points([[1, 2], [3]], 1, 0),
+    ],
+    ids=["huge-int-series", "text-score", "none-score", "scalar-scores", "text-boundary",
+         "text-points", "ragged-points"],
+)
+def test_input_data_that_is_not_numbers_is_a_data_error(call):
+    with pytest.raises(InvalidDataError):
+        call()

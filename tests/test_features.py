@@ -10,16 +10,14 @@ import pytest
 from fcpd import (
     ClosedBy,
     InvalidConfigError,
+    InvalidDataError,
     MissingFeatureError,
     Segment,
     SegmentationConfig,
     build_records,
-    coefficient_feature,
     fit,
     resolve_feature_name,
     segment_series,
-    size_features,
-    variation_feature,
 )
 
 
@@ -43,6 +41,10 @@ def _constant_segments(means, length: int = 4, degree: int = 2) -> list[Segment]
     return out
 
 
+def _column(segments, key: str, **kwargs) -> list[float | None]:
+    return [record[key] for record in build_records(segments, **kwargs)]
+
+
 def test_sizes_of_the_stub_partition():
     closes = {3: ClosedBy.DPU, 7: ClosedBy.DPU}
     result = segment_series(
@@ -50,9 +52,20 @@ def test_sizes_of_the_stub_partition():
         SegmentationConfig(degree=2, th_dpu=100.0),
         trigger=lambda state, end: closes.get(end),
     )
-    sizes, var_sizes = size_features(result)
-    assert sizes == [4.0, 4.0, 3.0]
-    assert var_sizes == [None, 0.0, -0.25]
+    assert _column(result, "size") == [4.0, 4.0, 3.0]
+    assert _column(result, "var_size_1") == [None, 0.0, -0.25]
+
+
+def test_size_base_within_epsilon_is_missing():
+    segs = [_segment(i, 8 * i, [1.0] * (4 - i), degree=0) for i in range(3)]  # sizes 4, 3, 2
+    assert _column(segs, "var_size_1", epsilon=3.5) == [None, -0.25, None]
+    assert _column(segs, "var_size_1", epsilon=50.0) == [None, None, None]
+
+
+def test_fits_of_different_degrees_are_rejected():
+    segs = [_segment(0, 0, [1.0, 2.0, 3.0], degree=1), _segment(1, 3, [1.0, 2.0, 4.0])]
+    with pytest.raises(InvalidDataError, match=re.escape("one fit degree, got [1, 2]")):
+        build_records(segs)
 
 
 def test_records_accept_a_segmentation_or_a_plain_sequence():
@@ -62,29 +75,29 @@ def test_records_accept_a_segmentation_or_a_plain_sequence():
 
 def test_mean_step_up_gives_half_variation():
     segs = _constant_segments([2.0, 3.0])
-    assert coefficient_feature(segs, 0) == [2.0, 3.0]
-    variations = variation_feature(segs, 0)
+    assert _column(segs, "alpha_0") == [2.0, 3.0]
+    variations = _column(segs, "var_alpha_0_1")
     assert variations[0] is None
     assert variations[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_constant_segments_have_zero_variation():
-    variations = variation_feature(_constant_segments([4.0, 4.0, 4.0]), 0)
+    variations = _column(_constant_segments([4.0, 4.0, 4.0]), "var_alpha_0_1")
     assert variations == [None, 0.0, 0.0]
 
 
 def test_near_zero_base_is_missing():
     segs = _constant_segments([0.0, 5.0])
-    assert variation_feature(segs, 0) == [None, None]
+    assert _column(segs, "var_alpha_0_1") == [None, None]
     almost = _constant_segments([1e-10, 5.0])
-    assert variation_feature(almost, 0) == [None, None]
+    assert _column(almost, "var_alpha_0_1") == [None, None]
     fine = _constant_segments([1e-3, 5e-3])
-    assert variation_feature(fine, 0, epsilon=1e-4)[1] == pytest.approx(4.0)
+    assert _column(fine, "var_alpha_0_1", epsilon=1e-4)[1] == pytest.approx(4.0)
 
 
 def test_first_d_segments_are_missing():
     segs = _constant_segments([1.0, 2.0, 4.0, 8.0])
-    variations = variation_feature(segs, 0, d=2)
+    variations = _column(segs, "var_alpha_0_2", d=2)
     assert variations[:2] == [None, None]
     assert variations[2] == pytest.approx(3.0)
     assert variations[3] == pytest.approx(3.0)
@@ -94,8 +107,8 @@ def test_tail_without_coefficients_propagates_missing():
     segs = _constant_segments([2.0, 3.0])
     tail = Segment(index=2, start=8, end=9, alpha=None, closed_by=ClosedBy.END_OF_STREAM)
     segs.append(tail)
-    assert coefficient_feature(segs, 0) == [2.0, 3.0, None]
-    variations = variation_feature(segs, 0)
+    assert _column(segs, "alpha_0") == [2.0, 3.0, None]
+    variations = _column(segs, "var_alpha_0_1")
     assert variations == [None, pytest.approx(0.5), None]
     records = build_records(segs)
     assert records[2]["alpha_0"] is None
@@ -108,8 +121,8 @@ def test_variations_are_scale_invariant():
     base = [_segment(i, 8 * i, w) for i, w in enumerate(windows)]
     scaled = [_segment(i, 8 * i, 7.5 * w) for i, w in enumerate(windows)]
     for k in range(3):
-        got = variation_feature(scaled, k)
-        want = variation_feature(base, k)
+        got = _column(scaled, f"var_alpha_{k}_1")
+        want = _column(base, f"var_alpha_{k}_1")
         for g, w in zip(got, want):
             if w is None:
                 assert g is None
@@ -176,12 +189,6 @@ def test_parameter_validation():
     segs = _constant_segments([1.0, 2.0])
     for bad_d in (0, -1, True, 1.5):
         with pytest.raises(InvalidConfigError):
-            variation_feature(segs, 0, d=bad_d)
+            build_records(segs, d=bad_d)
     with pytest.raises(InvalidConfigError):
-        variation_feature(segs, 0, epsilon=0.0)
-    with pytest.raises(InvalidConfigError):
-        coefficient_feature(segs, -1)
-    with pytest.raises(InvalidConfigError):
-        coefficient_feature(segs, True)
-    with pytest.raises(InvalidConfigError):
-        coefficient_feature(segs, 3)  # the fits are degree 2
+        build_records(segs, epsilon=0.0)

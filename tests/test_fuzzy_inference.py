@@ -198,6 +198,9 @@ def test_membership_degrees_stay_in_unit_interval():
         ("zmf", (1.0, 1.0)),
         ("smf", (2.0, 1.0)),
         ("tri", (0.0, float("nan"), 1.0)),
+        ("tri", ("a", 1, 2)),
+        ("tri", None),
+        (["tri"], (0, 1, 2)),
     ],
 )
 def test_membership_rejects_bad_parameters(kind, params):
@@ -259,8 +262,9 @@ def test_missing_or_non_finite_input_raises():
     )
     with pytest.raises(MissingFeatureError):
         infer(fis, {})
-    with pytest.raises(MissingFeatureError):
-        infer(fis, {"x": float("nan")})
+    for value in (float("nan"), "abc", [1.0], object(), 10**400):
+        with pytest.raises(MissingFeatureError):
+            infer(fis, {"x": value})
 
 
 def test_values_are_clamped_to_the_domain():
@@ -723,6 +727,8 @@ def test_variable_validation():
         LinguisticVariable("x", 1.0, 0.0, {"s": s_shape(0.0, 1.0)})
     with pytest.raises(InvalidConfigError):
         LinguisticVariable("x", 0.0, 1.0, {})
+    with pytest.raises(InvalidConfigError):
+        LinguisticVariable("v", "a", 1, {"s": s_shape(0.0, 1.0)})
 
 
 def test_rule_weight_validation():

@@ -128,6 +128,8 @@ _BAD_INPUTS = [
     ("var x [0, 1] { a: bell(0, 1) }\n", DslSyntaxError, 1, "bell"),
     (SCORE_VAR + "IF (score is low), THEN (score is low) weight 1.5\n", DslValueError, 2, "1.5"),
     (SCORE_VAR + "IF (score is low), THEN (score is low) weight 0\n", DslValueError, 2, "0"),
+    ("var x [0, 1e999] { a: smf(0, 1) }\n", DslValueError, 1, "1e999"),
+    ("var x [-1e999, 0] { a: smf(0, 1) }\n", DslValueError, 1, "-1e999"),
 ]
 
 
@@ -236,6 +238,12 @@ _MESSAGES = [
      "line 2, column 19: expected ')', got ','"),
     ("set 3 = 4\n", DslSyntaxError, "line 1, column 5: expected an option name, got '3'"),
     ("set resolution 4\n", DslSyntaxError, "line 1, column 16: expected '=', got '4'"),
+    ("var x [0, 1e999] { a: smf(0, 1) }\n", DslValueError,
+     "line 1, column 11: variable 'x' hi must be a finite number, got inf"),
+    ("var x [-1e999, 0] { a: smf(0, 1) }\n", DslValueError,
+     "line 1, column 8: variable 'x' lo must be a finite number, got -inf"),
+    ("var x [0, 1] { a: tri(0, 0.5, 1e999) }\n", DslValueError,
+     "line 1, column 19: membership parameter must be a finite number, got inf"),
 ]
 
 
