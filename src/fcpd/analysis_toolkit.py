@@ -295,11 +295,19 @@ def generate_cycle(
     draw order is fixed (anomalies in the given order), so output is
     deterministic under the seed.
     """
-    check_int("n", n, 1)
+    # Past 2^53 the sample positions are no longer exact floats.
+    check_int("n", n, 1, 2**53)
     check_real("period", period, 0)
     check_int("seed", seed, 0)
-    x = np.arange(n)
-    series = math.sqrt(2.0) * np.sin(2.0 * math.pi * x / period)
+    if not math.isfinite(2.0 * math.pi * (n - 1) / period):
+        raise InvalidConfigError(
+            f"period {period} is too short for {n} samples: 2 pi (n - 1) / period overflows"
+        )
+    try:
+        x = np.arange(n)
+        series = math.sqrt(2.0) * np.sin(2.0 * math.pi * x / period)
+    except MemoryError:
+        raise InvalidConfigError(f"cannot hold {n} samples in memory") from None
     rng = np.random.default_rng(seed)
     for anomaly in anomalies:
         start = check_int("anomaly start", anomaly.start, 0)

@@ -15,7 +15,14 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidDataError, MissingFeatureError, check_int, check_real
+from .errors import (
+    InvalidConfigError,
+    InvalidDataError,
+    MissingFeatureError,
+    as_floats,
+    check_int,
+    check_real,
+)
 
 _MF_ARITY = {"tri": 3, "trap": 4, "gauss": 2, "zmf": 2, "smf": 2}
 
@@ -112,11 +119,7 @@ def _mf_scalar(mf: MembershipFunction, x: float) -> float:
     return _clip_unit(min(left, right))
 
 
-def _finite(x) -> float:
-    try:
-        value = float(x)
-    except (TypeError, ValueError):
-        raise InvalidDataError(f"membership evaluation needs numbers, got {x!r}") from None
+def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise InvalidDataError("membership evaluation needs finite inputs")
     return value
@@ -128,9 +131,11 @@ def mf_eval(mf: MembershipFunction, x):
     Every value goes through the same plain-float code: a scalar returns a
     float, an array an array of the same shape holding each element's degree.
     """
-    if isinstance(x, float) or np.ndim(x) == 0:  # np.ndim costs more than a degree
+    if isinstance(x, float):  # infer's path: a conversion costs more than a degree
         return _mf_scalar(mf, _finite(x))
-    xs = np.asarray(x, dtype=float)
+    xs = as_floats("membership input", x)
+    if xs.ndim == 0:
+        return _mf_scalar(mf, _finite(float(xs)))
     degrees = [_mf_scalar(mf, _finite(v)) for v in xs.ravel().tolist()]
     return np.array(degrees).reshape(xs.shape)
 

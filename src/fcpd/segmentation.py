@@ -140,6 +140,7 @@ class SegmentStream:
         # Slope signs are only counted where something reads them.
         reads_slopes = config.th_sss is not None or trigger is not None
         self._sss_mode = config.sss_mode if reads_slopes else None
+        self._min_len = config.effective_min_len
         self._state = self._window(start_index)
 
     def _window(self, start_index: int) -> WindowState:
@@ -161,7 +162,7 @@ class SegmentStream:
         reason: ClosedBy | None = None
         if self._trigger is not None:
             reason = self._trigger(state, state.start_index + state.count - 1)
-        elif state.count >= cfg.effective_min_len:
+        elif state.count >= self._min_len:
             # The minimum length is at least degree + 1, so the window has a fit.
             if cfg.th_dpu is not None and deviation_exceeds(state, cfg.th_dpu):
                 reason = ClosedBy.DPU

@@ -216,7 +216,8 @@ def _pack_bases(n: np.ndarray, degree: int) -> np.ndarray:
 def build_basis(window_len: int, degree: int) -> OrthoBasis:
     """The basis for the grid 0..window_len up to ``degree``, unpacked from its block."""
     k = check_int("degree", degree, 0, MAX_DEGREE)
-    n = check_int("window_len", window_len, 0)
+    # Past 2^53 the grid points are no longer exact floats.
+    n = check_int("window_len", window_len, 0, 2**53)
     if k > n:
         raise InvalidConfigError(f"degree {k} needs at least {k + 1} points, grid has {n + 1}")
     start = n - n % _BLOCK_LEN
@@ -225,12 +226,15 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
 
 
 # The screen's tables: per window length n, the end-point weights w_0..w_K,
-# the magnitudes a_0..a_K, then the columns below (see _screen_table).
-_FLOOR, _BOUND, _ROW1, _NORM1 = range(-4, 0)
-# T (sum_j |M_j| + |y|) below this proves the exact fit finite (see _screen_table).
+# then the columns below (see _screen_table).
+_FLOOR, _BOUND, _SCALE, _ROW1, _NORM1 = range(-5, 0)
+# Y T (sum_j B_j + 1) below this proves the exact fit finite (see _screen_table).
 _FINITE_BELOW = 2.0**1000
 # The screen's relative margin, 64u with u = 2^-53 (see deviation_exceeds).
 _SCREEN_ULPS = 2.0**-47
+# Inflates the _BOUND and _SCALE columns past every rounding of the moments
+# and of the tables themselves, each at most a few dozen u (see _screen_table).
+_SLACK = 1.0 + 2.0**-30
 
 
 def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> np.ndarray:
@@ -238,22 +242,30 @@ def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> np.ndarray:
 
     Built in one numpy pass from the packed rows r_kj, norms N_k and
     offsets.  p_k(n) at the end point runs _recurse's recursion elementwise,
-    so each is the exact path's own float p^_k.  With q_k = p^_k / N_k:
+    so each is the exact path's own float p^_k.  With q_k = p^_k / N_k,
+    a_j = sum_k |r_kj q_k| and B_j = (n+1)^(j+1) / (j+1), which is at least
+    sum_{i<=n} i^j, so |M_j| <= (1 + gamma_{j+3}) Y B_j for a window whose
+    samples are at most Y in magnitude (j roundings of y i^j, 2u of Kahan):
 
     * w_j = sum_k r_kj q_k, so sum_j w_j M_j is the fitted end point;
-    * a_j = sum_k |r_kj q_k|, so S = sum_j a_j |M_j| bounds every product
-      alpha_k p^_k that the exact path sums;
     * _FLOOR: 2^-1000 max(1, max_k |p^_k| max(1, 1/N_k)), the most that
       underflow in a product with a moment can shift either path's fit,
       times 2^68 (see deviation_exceeds); inf where _BOUND is, so the
       screen decides nothing there;
-    * _BOUND: T = max(max_kj |r_kj| max(1, 1/N_k), max_j a_j) >= r_00 = 1, or inf
-      where a table value is not finite or q_k or a product r_kj q_k underflows.
-      If T (sum_j |M_j| + |y|) < 2^1000, every product, fsum, quotient and
-      difference of the exact path stays below 11 * 2^1000 (1 + 13u), far
-      from the float limit 2^1024, so its fit and deviation are finite;
+    * _BOUND: T (sum_j B_j + 1) _SLACK, with T = max(max_kj |r_kj|
+      max(1, 1/N_k), max_j a_j) >= r_00 = 1, or inf where a table value is
+      not finite or q_k or a product r_kj q_k underflows.  Y times it
+      bounds T (sum_j |M_j| + |y|): if that is below 2^1000, every
+      product, fsum, quotient and difference of the exact path stays below
+      11 * 2^1000 (1 + 13u), far from the float limit 2^1024, so its fit
+      and deviation are finite;
+    * _SCALE: sum_j a_j B_j _SLACK, so Y times it bounds S = sum_j a_j |M_j|,
+      the sum of every product alpha_k p^_k that the exact path sums;
     * _ROW1, _NORM1: r_10 and N_1, so alpha_1 = fsum(r_10 M_0, M_1) / N_1
       has the exact path's bits (r_11 is exactly 1).
+
+    _SLACK, 1 + 2^-30, covers the roundings of M_j, of a_j, B_j and their
+    sums and of the products with Y, fewer than 64u in all at K = 10.
     """
     *rows, norms, offsets = _LAYOUTS[degree](packed.T)
     x = n.astype(float)
@@ -280,10 +292,15 @@ def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> np.ndarray:
             underflow |= (pk != 0) & (np.abs(q) < tiny)
             underflow |= np.any((row != 0) & (q != 0) & (np.abs(terms) < tiny), axis=0)
         bound = np.maximum(bound, np.max(a, axis=0))
-        uncertified = underflow | ~np.isfinite(bound) | ~np.isfinite(floor)
-        bound[uncertified] = floor[uncertified] = np.inf
+        # B_j = (n+1)^(j+1) / (j+1), j = 0..K.
+        powers = np.cumprod(np.broadcast_to(x + 1.0, w.shape), axis=0)
+        power_sums = powers / np.arange(1.0, degree + 2.0)[:, None]
+        certificate = bound * (np.sum(power_sums, axis=0) + 1.0) * _SLACK
+        peak_scale = np.sum(a * power_sums, axis=0) * _SLACK
+        uncertified = underflow | ~np.isfinite(certificate) | ~np.isfinite(floor)
+        certificate[uncertified] = floor[uncertified] = np.inf
     row1, norm1 = (rows[1][0], norms[1]) if degree >= 1 else (np.nan, np.nan)
-    table = np.stack(np.broadcast_arrays(*w, *a, floor, bound, row1, norm1), axis=1)
+    table = np.stack(np.broadcast_arrays(*w, floor, certificate, peak_scale, row1, norm1), axis=1)
     table.flags.writeable = False
     return table
 
@@ -340,6 +357,7 @@ def evaluate(shape: ShapeVector, basis: OrthoBasis, x):
     ``basis`` must match the shape vector's grid and degree.  Scalar ``x``
     returns a float, array ``x`` an array of its shape; each value takes the
     arithmetic of window_grow's fitted value, so both give the same bits.
+    Positions that are not finite numbers raise InvalidDataError.
     """
     if basis.window_len != shape.window_len or basis.degree != shape.degree:
         raise InvalidConfigError(
@@ -348,9 +366,11 @@ def evaluate(shape: ShapeVector, basis: OrthoBasis, x):
             f"degree {basis.degree}/{shape.degree}"
         )
     alpha, n, offsets = shape.alpha.tolist(), basis.window_len, basis.offsets
-    if np.ndim(x) == 0:
-        return _fitted(alpha, float(x), n, offsets)
-    xs = np.asarray(x, dtype=float)
+    xs = as_floats("x", x)
+    if not np.all(np.isfinite(xs)):  # None becomes nan
+        raise InvalidDataError("x must hold finite numbers")
+    if xs.ndim == 0:
+        return _fitted(alpha, float(xs), n, offsets)
     return np.array([_fitted(alpha, p, n, offsets) for p in xs.ravel().tolist()]).reshape(xs.shape)
 
 
@@ -381,7 +401,10 @@ class WindowState:
     """Single-owner mutable state of one growing window.
 
     moments[j] tracks M_j = sum over absorbed samples of y * x^j (local x
-    starting at 0), maintained with Kahan compensation.  alpha and deviation,
+    starting at 0), maintained with Kahan compensation, and peak the
+    largest |y| absorbed, which bounds every |M_j| (see _screen_table).
+    The window keeps its current block of screen tables and the row of its
+    current length, which window_grow refreshes.  alpha and deviation,
     |fit - y| at the newest sample, are None until count >= degree + 1; then
     they are computed from the moments when read, once per count.
     prev_slope_sign is the last non-zero slope sign observed; values inside
@@ -398,8 +421,13 @@ class WindowState:
     last_value: float | None = None
     sss_count: int = 0
     prev_slope_sign: int = 0
+    peak: float = 0.0
     _compensation: list[float] = field(default_factory=list, repr=False)
-    # The screen-table row of the current length, set by window_grow.
+    # The screen tables of the lengths _table_start.._table_start+_BLOCK_LEN-1
+    # (none before the first is read), and the row of the current length,
+    # set by window_grow.
+    _table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _table_start: int = field(default=-_BLOCK_LEN, repr=False, compare=False)
     _screen: list[float] | None = field(default=None, repr=False)
     # (count, alpha, deviation) of the last exact fit.
     _fit: tuple[int, np.ndarray, float] | None = field(default=None, repr=False)
@@ -471,7 +499,7 @@ def _exact_fit(state: WindowState) -> tuple[int, np.ndarray, float]:
 
 
 def window_grow(state: WindowState, y: float) -> WindowState:
-    """Absorb one sample: refresh the moments, and the slope-sign counters if sss_mode is set.
+    """Absorb one sample: refresh the moments, the peak and, if sss_mode is set, the slope signs.
 
     Per-point cost is O(degree) and does not depend on how many samples the
     window already holds.  The fit is left to the first read of alpha or
@@ -486,6 +514,9 @@ def window_grow(state: WindowState, y: float) -> WindowState:
     if not math.isfinite(value):
         raise InvalidDataError(f"non-finite sample {y!r}")
     moments, compensation = state.moments, state._compensation
+    size = abs(value)
+    if size > state.peak:
+        state.peak = size
     x = float(state.count)
     xpow = 1.0
     for j in range(state.degree + 1):
@@ -504,9 +535,13 @@ def window_grow(state: WindowState, y: float) -> WindowState:
 
     n = state.count - 1
     if n >= state.degree:
-        start = n - n % _BLOCK_LEN
-        row = state._screen = _block(start, state.degree)[1][n - start].tolist()
-        if not row[_BOUND] * (sum(map(abs, moments)) + abs(value)) < _FINITE_BELOW:
+        i = n - state._table_start
+        if i >= _BLOCK_LEN:
+            state._table_start = start = n - n % _BLOCK_LEN
+            state._table = _block(start, state.degree)[1]
+            i = n - start
+        row = state._screen = state._table[i].tolist()
+        if not state.peak * row[_BOUND] < _FINITE_BELOW:
             _exact_fit(state)
         if mode is SlopeSignMode.ALPHA1_SIGN and state.degree >= 1:
             _observe_slope(state, math.fsum((row[_ROW1] * moments[0], moments[1])) / row[_NORM1])
@@ -517,16 +552,17 @@ def deviation_exceeds(state: WindowState, threshold: float) -> bool:
     """state.deviation > threshold, decided by an O(K) screen when it can be.
 
     The screen reads the current length's table row (see _screen_table):
-    F~ = sum_j w_j M_j, S = sum_j a_j |M_j| and d~ = |F~ - y|.  It answers
-    False without the exact fit only when
+    F~ = sum_j w_j M_j, the bound Y scale with Y the window's peak |y|, and
+    d~ = |F~ - y|.  It answers False without the exact fit only when
 
-        d~ + 2^-47 (S + d~) + floor < threshold,
+        d~ + 2^-47 (Y scale + d~) + floor < threshold,
 
     and runs the exact fit (and the exact comparison) otherwise.
 
-    Why the margin holds, with u = 2^-53, gamma_m = m u / (1 - m u), and
+    Why the margin holds, with u = 2^-53, gamma_m = m u / (1 - m u),
     Phi = sum_k p^_k sum_j r_kj M_j / N_k the fit in exact arithmetic on
-    the same float moments, rows, norms and p^_k:
+    the same float moments, rows, norms and p^_k, and S = sum_j a_j |M_j|
+    with the exact a_j = sum_k |r_kj p^_k / N_k|:
 
     * The exact path rounds each elementary term r_kj M_j p^_k / N_k at
       most five times (the product r_kj M_j, the coefficient fsum, the
@@ -534,17 +570,20 @@ def deviation_exceeds(state: WindowState, threshold: float) -> bool:
       |fit - Phi| <= gamma_5 S.
     * The screen rounds it at most 2K + 3 times (q_k, r_kj q_k, K additions
       into w_j, the product w_j M_j, K additions into F~), so
-      |F~ - Phi| <= gamma_{2K+3} S, and the computed S is at least
-      (1 - gamma_{2K+3}) of the exact one.
+      |F~ - Phi| <= gamma_{2K+3} S.
+    * The computed Y scale is at least S: |M_j| <= (1 + gamma_{j+3}) Y B_j,
+      and the table's slack of 2^-30 outweighs that, the roundings of a_j,
+      B_j and their sums, and the product with Y.
     * The two subtractions from y add u |fit - y| and u |F~ - y|.
 
-    So deviation <= d~ + (2K + 8) u S + 2u d~ to first order, at most
-    28u S + 2u d~ at K = 10.  The margin takes 64u for both terms, more than
-    twice that.  Underflow in a product with a moment shifts either fit by
-    at most 2^-1075 times max(1, |p^_k| max(1, 1/N_k)), in fewer than 128
-    places; floor is 2^68 times that.  Rounding in the test itself only
-    shrinks the margin by a few u, inside the factor of two.  A NaN or an
-    infinity anywhere fails the test and falls back to the exact path.
+    So deviation <= d~ + (2K + 8) u Y scale + 2u d~ to first order, at most
+    28u Y scale + 2u d~ at K = 10.  The margin takes 64u for both terms,
+    more than twice that.  Underflow in a product with a moment shifts
+    either fit by at most 2^-1075 times max(1, |p^_k| max(1, 1/N_k)), in
+    fewer than 128 places; floor is 2^68 times that.  Rounding in the test
+    itself only shrinks the margin by a few u, inside the factor of two.  A
+    NaN or an infinity anywhere fails the test and falls back to the exact
+    path.
     """
     fitted, bound = _screen(state)
     off = abs(fitted - state.last_value)
@@ -554,10 +593,6 @@ def deviation_exceeds(state: WindowState, threshold: float) -> bool:
 
 
 def _screen(state: WindowState) -> tuple[float, float]:
-    """(F~, S) at the window's newest sample, from its screen-table row."""
-    row, moments = state._screen, state.moments
-    k1 = state.degree + 1
-    return (
-        sum(map(operator.mul, row, moments)),
-        sum(map(operator.mul, row[k1 : 2 * k1], map(abs, moments))),
-    )
+    """(F~, Y scale) at the window's newest sample, from its screen-table row."""
+    row = state._screen
+    return sum(map(operator.mul, row, state.moments)), state.peak * row[_SCALE]

@@ -444,6 +444,22 @@ def test_cli_normalize_overflow_is_a_data_error(tmp_path, capsys, command):
     assert err == f"error: {NORMALIZE_OVERFLOW}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--length", "5", "--period", "5e-324", "--no-anomalies"],
+            "period 5e-324 is too short for 5 samples: 2 pi (n - 1) / period overflows",
+        ),
+        # 2^53 bytes: past any 64-bit host's address space, so no host allocates it.
+        (["--length", str(2**50)], f"cannot hold {2**50} samples in memory"),
+    ],
+)
+def test_cli_generate_rejects_what_it_cannot_generate(capsys, argv, message):
+    code, out, err = _run(capsys, ["generate", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -10,6 +10,7 @@ an overflowing fit raises at the same sample as when every sample was fitted.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -94,8 +95,63 @@ def test_screen_estimate_is_within_the_derived_bound(degree):
     assert worst > 0.0  # the two paths do round differently
 
 
+def _series_of_every_kind(seed: int, n: int) -> dict[str, list[float]]:
+    rng = np.random.default_rng(seed)
+    kinds = {f"walk{offset:+g}": _walk(seed, n, offset) for offset in (0.0, 1e3, -1e3, 1e6)}
+    walk = np.array(kinds["walk+0"])
+    kinds["mean-zero walk"] = (walk - walk.mean()).tolist()
+    kinds["poisson"] = rng.poisson(20.0, n).astype(float).tolist()
+    kinds["alternating"] = ((-1.0) ** np.arange(n) * rng.uniform(1.0, 9.0, n)).tolist()
+    return kinds
+
+
+def _moment_bounds(state) -> tuple[float, float]:
+    """(S, T (sum_j |M_j| + |y|)) from the moments, as _screen_table's docstring defines them.
+
+    Rebuilt from build_basis alone: a_j = sum_k |r_kj p_k(n) / N_k| and
+    T = max(max_kj |r_kj| max(1, 1/N_k), max_j a_j).
+    """
+    n = state.count - 1
+    basis = build_basis(n, state.degree)
+    a = [0.0] * (state.degree + 1)
+    t = 0.0
+    for row, norm, pk in zip(basis.rows, basis.norms, basis.poly_values(float(n)).tolist()):
+        q = pk / norm
+        for j, r in enumerate(row):
+            a[j] += abs(r * q)
+        t = max(t, max(map(abs, row)) * max(1.0, 1.0 / norm))
+    t = max(t, *a)
+    magnitudes = [abs(m) for m in state.moments]
+    return (
+        sum(map(operator.mul, a, magnitudes)),
+        t * (sum(magnitudes) + abs(state.last_value)),
+    )
+
+
+@pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
+def test_the_peak_bounds_dominate_the_moment_sums(degree):
+    # At every sample, the window's peak |y| times the table's columns is at
+    # least the magnitude sum S that the margin needs and the certificate's
+    # T (sum_j |M_j| + |y|), on windows that cross a block edge.
+    for kind, series in _series_of_every_kind(degree, 1100).items():
+        state = window_init(0, degree, sss_mode=None)
+        for value in series:
+            window_grow(state, value)
+            if state.count <= degree:
+                continue
+            row = state._screen
+            assert state.peak == max(map(abs, series[: state.count]))
+            magnitude_sum, certified = _moment_bounds(state)
+            _, bound = _screen(state)
+            assert bound == state.peak * row[shape_space._SCALE]
+            assert bound >= magnitude_sum, (kind, state.count)
+            assert math.isfinite(row[shape_space._BOUND])
+            assert state.peak * row[shape_space._BOUND] >= certified, (kind, state.count)
+
+
+@pytest.mark.parametrize("level", [1e3, 0.0, -1e3])
 @pytest.mark.parametrize("degree", [0, 5, 7, 10])
-def test_a_quiet_dpu_stream_runs_few_exact_fits(degree, monkeypatch):
+def test_a_quiet_dpu_stream_runs_few_exact_fits(degree, level, monkeypatch):
     calls = []
     real = shape_space.build_basis
 
@@ -106,7 +162,7 @@ def test_a_quiet_dpu_stream_runs_few_exact_fits(degree, monkeypatch):
     monkeypatch.setattr(shape_space, "build_basis", counted)
     rng = np.random.default_rng(degree)
     stream = SegmentStream(SegmentationConfig(degree=degree, th_dpu=8.0))
-    for value in (1e3 + rng.normal(0.0, 1.0, 6000)).tolist():
+    for value in (level + rng.normal(0.0, 1.0, 6000)).tolist():
         assert stream.push(value) is None
     (segment,) = stream.result().segments
     assert segment.length == 6000

@@ -22,15 +22,18 @@ from fcpd import (
     build_basis,
     build_records,
     change_point_offsets,
+    evaluate,
     fit,
     generate_cycle,
     kmeans_points,
     kmeans_segments,
+    mf_eval,
     parse,
     resolve_feature_name,
     segment_series,
     sensitivity_bounds,
     to_fis,
+    triangular,
     validate_series,
     window_init,
 )
@@ -44,6 +47,7 @@ CONFIG = SegmentationConfig(degree=2, th_dpu=0.05)
 SEGMENTS = segment_series(generate_cycle(n=400, period=50.0, anomalies=()), CONFIG)
 POINTS = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
 FIS = to_fis(parse(RULES))
+SHAPE = SEGMENTS.segments[0].alpha
 
 # (option name, entry point taking the value, a valid value, whether None means "unset")
 INTEGER_OPTIONS = [
@@ -138,6 +142,20 @@ def test_real_thresholds_take_finite_numbers_only(name, call, valid, optional):
         (lambda: window_init(0, 2, sss_deadband=-0.1), "sss_deadband must be >= 0, got -0.1"),
         (lambda: generate_cycle(n=50, period=-1), "period must be > 0, got -1"),
         (
+            lambda: generate_cycle(n=5, period=5e-324, anomalies=()),
+            "period 5e-324 is too short for 5 samples: 2 pi (n - 1) / period overflows",
+        ),
+        # 2^53 bytes: past any 64-bit host's address space, so no host allocates it.
+        (lambda: generate_cycle(n=2**50, anomalies=()), f"cannot hold {2**50} samples in memory"),
+        (
+            lambda: generate_cycle(n=2**63, anomalies=()),
+            f"n must be an integer in 1..{2**53}, got {2**63}",
+        ),
+        (
+            lambda: build_basis(10**400, 2),
+            f"window_len must be an integer in 0..{2**53}, got {10**400}",
+        ),
+        (
             lambda: generate_cycle(n=50, anomalies=(NoiseBurst(-1, 10),)),
             "anomaly start must be an integer >= 0, got -1",
         ),
@@ -168,9 +186,17 @@ def test_bounds_are_named_in_the_message(call, message):
         lambda: change_point_offsets(["x"], [1]),
         lambda: kmeans_points([["a", "b"]], 1, 0),
         lambda: kmeans_points([[1, 2], [3]], 1, 0),
+        lambda: mf_eval(triangular(0, 1, 2), 10**400),
+        lambda: mf_eval(triangular(0, 1, 2), [[1, 2], [3]]),
+        *(
+            lambda x=x: evaluate(SHAPE, build_basis(SHAPE.window_len, SHAPE.degree), x)
+            for x in ("x", None, object(), [[1, 2], [3]], 10**400)
+        ),
     ],
     ids=["huge-int-series", "text-score", "none-score", "scalar-scores", "text-boundary",
-         "text-points", "ragged-points"],
+         "text-points", "ragged-points", "huge-int-membership", "ragged-membership",
+         "text-position", "none-position", "object-position", "ragged-positions",
+         "huge-int-position"],
 )
 def test_input_data_that_is_not_numbers_is_a_data_error(call):
     with pytest.raises(InvalidDataError):
