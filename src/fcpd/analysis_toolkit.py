@@ -185,12 +185,20 @@ def sensitivity_bounds(scores, top_n: int = 3, segment_count: int | None = None)
     upper = ordered[:top_n]
     lower = ordered[-top_n:]
     return SensitivityReport(
-        mean_upper=sum(upper) / len(upper),
-        mean_lower=sum(lower) / len(lower),
+        mean_upper=_mean(upper),
+        mean_lower=_mean(lower),
         upper_count=len(upper),
         lower_count=len(lower),
         segment_count=len(values) if segment_count is None else int(segment_count),
     )
+
+
+def _mean(values: list[float]) -> float:
+    """The mean summed left to right; from Python 3.12 on, sum() compensates."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def aggregate_sensitivity(reports: Sequence[SensitivityReport]) -> SensitivityReport:
@@ -198,8 +206,8 @@ def aggregate_sensitivity(reports: Sequence[SensitivityReport]) -> SensitivityRe
     if not reports:
         raise InvalidDataError("aggregate_sensitivity needs at least one report")
     return SensitivityReport(
-        mean_upper=sum(r.mean_upper for r in reports) / len(reports),
-        mean_lower=sum(r.mean_lower for r in reports) / len(reports),
+        mean_upper=_mean([r.mean_upper for r in reports]),
+        mean_lower=_mean([r.mean_lower for r in reports]),
         upper_count=max(r.upper_count for r in reports),
         lower_count=max(r.lower_count for r in reports),
         segment_count=round(sum(r.segment_count for r in reports) / len(reports)),

@@ -97,7 +97,12 @@ def _mf_scalar(mf: MembershipFunction, x: float) -> float:
     # pin to a numpy reference.
     if mf.kind == "gauss":
         center, width = mf.params
-        return _clip_unit(float(np.exp(-((x - center) ** 2) / (2.0 * width * width))))
+        try:
+            exponent = -((x - center) ** 2) / (2.0 * width * width)
+        except (OverflowError, ZeroDivisionError):  # a square over- or underflows
+            ratio = (x - center) / width
+            exponent = -0.5 * ratio * ratio
+        return _clip_unit(float(np.exp(exponent)))
     if mf.kind in ("zmf", "smf"):
         a, b = mf.params
         span = b - a

@@ -4,8 +4,8 @@ A window grows one sample at a time.  After each absorbed sample two closure
 criteria are checked once the window reaches its minimum length:
 
 * DPU: the absolute deviation between the window's fit and the newest
-  sample exceeds th_dpu (shape_space.deviation_exceeds decides it, running
-  the full fit only when its O(K) screen cannot);
+  sample exceeds th_dpu (shape_space.window_grow decides it as it absorbs
+  the sample, running the full fit only when its O(K) screen cannot);
 * SSS: the count of slope sign switches inside the window exceeds th_sss.
 
 Either criterion closes the segment at the triggering sample; the next
@@ -26,7 +26,6 @@ from .shape_space import (
     SlopeSignMode,
     WindowState,
     check_slope_options,
-    deviation_exceeds,
     validate_series,
     window_grow,
     window_init,
@@ -140,7 +139,9 @@ class SegmentStream:
         # Slope signs are only counted where something reads them.
         reads_slopes = config.th_sss is not None or trigger is not None
         self._sss_mode = config.sss_mode if reads_slopes else None
-        self._min_len = config.effective_min_len
+        # The criteria are checked on a push that finds this many samples or more.
+        self._checked_from = config.effective_min_len - 1
+        self._th_dpu, self._th_sss = config.th_dpu, config.th_sss
         self._state = self._window(start_index)
 
     def _window(self, start_index: int) -> WindowState:
@@ -155,21 +156,21 @@ class SegmentStream:
         """Absorb one sample; returns the segment it closed, if any."""
         if self._finished:
             raise InvalidConfigError("stream already finished")
-        cfg = self._config
         state = self._state
-        window_grow(state, y)
-
-        reason: ClosedBy | None = None
         if self._trigger is not None:
+            window_grow(state, y)
             reason = self._trigger(state, state.start_index + state.count - 1)
-        elif state.count >= self._min_len:
-            # The minimum length is at least degree + 1, so the window has a fit.
-            if cfg.th_dpu is not None and deviation_exceeds(state, cfg.th_dpu):
-                reason = ClosedBy.DPU
-            elif cfg.th_sss is not None and state.sss_count > cfg.th_sss:
-                reason = ClosedBy.SSS
-
-        if reason is None:
+            if reason is None:
+                return None
+        elif state.count < self._checked_from:
+            window_grow(state, y)
+            return None
+        # The minimum length is at least degree + 1, so the window has a fit.
+        elif window_grow(state, y, self._th_dpu):
+            reason = ClosedBy.DPU
+        elif self._th_sss is not None and state.sss_count > self._th_sss:
+            reason = ClosedBy.SSS
+        else:
             return None
         segment = self._close(reason)
         self._state = self._window(segment.end + 1)
@@ -224,6 +225,6 @@ def segment_series(
             f"degree {config.degree} needs at least {config.degree + 1} samples, got {y.size}"
         )
     stream = SegmentStream(config, start_index=0, trigger=trigger)
-    for value in y:
-        stream.push(float(value))
+    for value in y.tolist():
+        stream.push(value)
     return stream.result()

@@ -23,8 +23,8 @@ Windows can also grow one sample at a time.  A WindowState keeps the power
 moments M_j = sum y_n n^j (j = 0..K) under compensated summation; absorbing a
 sample costs O(K) moment updates, independent of how long the window has
 grown.  The O(K^2) coefficient recombination runs only when something reads
-the fit, and a DPU threshold is first tried against an O(K) screen of the
-fitted end point (see deviation_exceeds).
+the fit, and window_grow first tries a DPU threshold against an O(K)
+screen of the fitted end point in the same pass.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _fitted(alpha, x: float, window_len: int, offsets) -> float:
 # lengths, one numpy pass per block, and the _BLOCKS_KEPT blocks used most
 # recently are kept (see _block).  Eight blocks hold every length of a window
 # up to 8 192 samples, so a stream whose windows stay below that builds each
-# block once, not once per window; at degree 10 they hold at most about 7.4 MB.
+# block once, not once per window; at degree 10 they hold at most about 10.3 MB.
 _BLOCK_LEN = 1024
 _BLOCKS_KEPT = 8
 # Up to this n + 1, k^2 (n+1)^2 fits in int64 for every k <= MAX_DEGREE;
@@ -156,11 +156,13 @@ _LAYOUTS = tuple(_packed_layout(degree) for degree in range(MAX_DEGREE + 1))
 
 
 @lru_cache(maxsize=_BLOCKS_KEPT)
-def _block(start: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+def _block(start: int, degree: int) -> tuple[np.ndarray, tuple[tuple[float, ...], ...]]:
     """(packed bases, screen tables) of the window lengths start..start+_BLOCK_LEN-1.
 
     The one cache of this module: it keeps the _BLOCKS_KEPT blocks used most
     recently, over all degrees, and fills on first use, never at import.
+    The screen tables are tuples of Python floats: window_grow converts no
+    row, and no caller can change one.
     """
     stop = start + _BLOCK_LEN
     if stop <= _INT64_LEN_CAP:
@@ -230,15 +232,15 @@ def build_basis(window_len: int, degree: int) -> OrthoBasis:
 _FLOOR, _BOUND, _SCALE, _ROW1, _NORM1 = range(-5, 0)
 # Y T (sum_j B_j + 1) below this proves the exact fit finite (see _screen_table).
 _FINITE_BELOW = 2.0**1000
-# The screen's relative margin, 64u with u = 2^-53 (see deviation_exceeds).
+# The screen's relative margin, 64u with u = 2^-53 (see window_grow).
 _SCREEN_ULPS = 2.0**-47
 # Inflates the _BOUND and _SCALE columns past every rounding of the moments
 # and of the tables themselves, each at most a few dozen u (see _screen_table).
 _SLACK = 1.0 + 2.0**-30
 
 
-def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> np.ndarray:
-    """Screen tables of the window lengths ``n``, one row each.
+def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """Screen tables of the window lengths ``n``, one tuple of floats each.
 
     Built in one numpy pass from the packed rows r_kj, norms N_k and
     offsets.  p_k(n) at the end point runs _recurse's recursion elementwise,
@@ -250,7 +252,7 @@ def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> np.ndarray:
     * w_j = sum_k r_kj q_k, so sum_j w_j M_j is the fitted end point;
     * _FLOOR: 2^-1000 max(1, max_k |p^_k| max(1, 1/N_k)), the most that
       underflow in a product with a moment can shift either path's fit,
-      times 2^68 (see deviation_exceeds); inf where _BOUND is, so the
+      times 2^68 (see window_grow); inf where _BOUND is, so the
       screen decides nothing there;
     * _BOUND: T (sum_j B_j + 1) _SLACK, with T = max(max_kj |r_kj|
       max(1, 1/N_k), max_j a_j) >= r_00 = 1, or inf where a table value is
@@ -300,9 +302,8 @@ def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> np.ndarray:
         uncertified = underflow | ~np.isfinite(certificate) | ~np.isfinite(floor)
         certificate[uncertified] = floor[uncertified] = np.inf
     row1, norm1 = (rows[1][0], norms[1]) if degree >= 1 else (np.nan, np.nan)
-    table = np.stack(np.broadcast_arrays(*w, floor, certificate, peak_scale, row1, norm1), axis=1)
-    table.flags.writeable = False
-    return table
+    columns = np.broadcast_arrays(*w, floor, certificate, peak_scale, row1, norm1)
+    return tuple(map(tuple, np.stack(columns, axis=1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -388,14 +389,6 @@ def check_slope_options(sss_mode, sss_deadband) -> None:
     check_real("sss_deadband", sss_deadband, 0, strict=False)
 
 
-def _sign_with_deadband(value: float, deadband: float) -> int:
-    if value > deadband:
-        return 1
-    if value < -deadband:
-        return -1
-    return 0
-
-
 @dataclass
 class WindowState:
     """Single-owner mutable state of one growing window.
@@ -403,10 +396,10 @@ class WindowState:
     moments[j] tracks M_j = sum over absorbed samples of y * x^j (local x
     starting at 0), maintained with Kahan compensation, and peak the
     largest |y| absorbed, which bounds every |M_j| (see _screen_table).
-    The window keeps its current block of screen tables and the row of its
-    current length, which window_grow refreshes.  alpha and deviation,
-    |fit - y| at the newest sample, are None until count >= degree + 1; then
-    they are computed from the moments when read, once per count.
+    The window keeps its current block of screen tables, which window_grow
+    refreshes.  alpha and deviation, |fit - y| at the newest sample, are
+    None until count >= degree + 1; then they are computed from the moments
+    when read, once per count.
     prev_slope_sign is the last non-zero slope sign observed; values inside
     the deadband neither match nor break it.  A window whose sss_mode is
     None counts no slope and leaves sss_count at 0.
@@ -424,13 +417,11 @@ class WindowState:
     peak: float = 0.0
     _compensation: list[float] = field(default_factory=list, repr=False)
     # The screen tables of the lengths _table_start.._table_start+_BLOCK_LEN-1
-    # (none before the first is read), and the row of the current length,
-    # set by window_grow.
-    _table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # (none before the first is read), set by window_grow.
+    _table: tuple[tuple[float, ...], ...] | None = field(default=None, repr=False, compare=False)
     _table_start: int = field(default=-_BLOCK_LEN, repr=False, compare=False)
-    _screen: list[float] | None = field(default=None, repr=False)
-    # (count, alpha, deviation) of the last exact fit.
-    _fit: tuple[int, np.ndarray, float] | None = field(default=None, repr=False)
+    # (count, alpha, deviation) of the last exact fit: a cache of the moments.
+    _fit: tuple[int, np.ndarray, float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def alpha(self) -> np.ndarray | None:
@@ -464,10 +455,13 @@ def window_init(
 
 
 def _observe_slope(state: WindowState, slope: float) -> None:
-    s = _sign_with_deadband(slope, state.sss_deadband)
-    if s == 0:
+    if slope > state.sss_deadband:
+        s = 1
+    elif slope < -state.sss_deadband:
+        s = -1
+    else:
         return
-    if state.prev_slope_sign != 0 and s != state.prev_slope_sign:
+    if state.prev_slope_sign == -s:
         state.sss_count += 1
     state.prev_slope_sign = s
 
@@ -498,66 +492,24 @@ def _exact_fit(state: WindowState) -> tuple[int, np.ndarray, float]:
     return state._fit
 
 
-def window_grow(state: WindowState, y: float) -> WindowState:
-    """Absorb one sample: refresh the moments, the peak and, if sss_mode is set, the slope signs.
+def window_grow(state: WindowState, y: float, th_dpu: float | None = None) -> bool:
+    """Absorb one sample and, given ``th_dpu``, answer state.deviation > th_dpu.
 
-    Per-point cost is O(degree) and does not depend on how many samples the
-    window already holds.  The fit is left to the first read of alpha or
-    deviation, unless the screen tables cannot certify that it stays
-    finite: then it runs here, and raises InvalidDataError at this sample
-    when the fit or its deviation overflows.
-    """
-    try:
-        value = float(y)
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise InvalidDataError(f"non-finite sample {y!r}")
-    moments, compensation = state.moments, state._compensation
-    size = abs(value)
-    if size > state.peak:
-        state.peak = size
-    x = float(state.count)
-    xpow = 1.0
-    for j in range(state.degree + 1):
-        # Kahan update keeps the moments near-exact as the window grows.
-        term = value * xpow - compensation[j]
-        total = moments[j] + term
-        compensation[j] = (total - moments[j]) - term
-        moments[j] = total
-        xpow *= x
-    state.count += 1
+    Refreshes the moments, the peak and, if sss_mode is set, the slope signs
+    in O(degree), however long the window.  The fit is left to the first
+    read of alpha or deviation, unless the screen tables cannot certify that
+    it stays finite: then it runs here, and raises InvalidDataError at this
+    sample when the fit or its deviation overflows.  Returns False when
+    ``th_dpu`` is None or the window holds fewer than degree + 1 samples.
 
-    mode = state.sss_mode
-    if mode is SlopeSignMode.FIRST_DIFF_SIGN and state.last_value is not None:
-        _observe_slope(state, value - state.last_value)
-    state.last_value = value
+    Given ``th_dpu``, the current length's table row (see _screen_table)
+    gives F~ = sum_j w_j M_j, the bound Y scale with Y the window's peak
+    |y|, and d~ = |F~ - y|.  The answer is False without the exact fit only
+    when
 
-    n = state.count - 1
-    if n >= state.degree:
-        i = n - state._table_start
-        if i >= _BLOCK_LEN:
-            state._table_start = start = n - n % _BLOCK_LEN
-            state._table = _block(start, state.degree)[1]
-            i = n - start
-        row = state._screen = state._table[i].tolist()
-        if not state.peak * row[_BOUND] < _FINITE_BELOW:
-            _exact_fit(state)
-        if mode is SlopeSignMode.ALPHA1_SIGN and state.degree >= 1:
-            _observe_slope(state, math.fsum((row[_ROW1] * moments[0], moments[1])) / row[_NORM1])
-    return state
+        d~ + 2^-47 (Y scale + d~) + floor < th_dpu,
 
-
-def deviation_exceeds(state: WindowState, threshold: float) -> bool:
-    """state.deviation > threshold, decided by an O(K) screen when it can be.
-
-    The screen reads the current length's table row (see _screen_table):
-    F~ = sum_j w_j M_j, the bound Y scale with Y the window's peak |y|, and
-    d~ = |F~ - y|.  It answers False without the exact fit only when
-
-        d~ + 2^-47 (Y scale + d~) + floor < threshold,
-
-    and runs the exact fit (and the exact comparison) otherwise.
+    and comes from the exact fit (and the exact comparison) otherwise.
 
     Why the margin holds, with u = 2^-53, gamma_m = m u / (1 - m u),
     Phi = sum_k p^_k sum_j r_kj M_j / N_k the fit in exact arithmetic on
@@ -570,7 +522,8 @@ def deviation_exceeds(state: WindowState, threshold: float) -> bool:
       |fit - Phi| <= gamma_5 S.
     * The screen rounds it at most 2K + 3 times (q_k, r_kj q_k, K additions
       into w_j, the product w_j M_j, K additions into F~), so
-      |F~ - Phi| <= gamma_{2K+3} S.
+      |F~ - Phi| <= gamma_{2K+3} S.  From Python 3.12 on, sum() adds
+      with compensation, which only tightens this.
     * The computed Y scale is at least S: |M_j| <= (1 + gamma_{j+3}) Y B_j,
       and the table's slack of 2^-30 outweighs that, the roundings of a_j,
       B_j and their sums, and the product with Y.
@@ -585,14 +538,47 @@ def deviation_exceeds(state: WindowState, threshold: float) -> bool:
     NaN or an infinity anywhere fails the test and falls back to the exact
     path.
     """
-    fitted, bound = _screen(state)
-    off = abs(fitted - state.last_value)
-    if off + _SCREEN_ULPS * (bound + off) + state._screen[_FLOOR] < threshold:
+    try:
+        value = float(y)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidDataError(f"non-finite sample {y!r}")
+    moments, compensation = state.moments, state._compensation
+    peak = state.peak
+    if abs(value) > peak:
+        state.peak = peak = abs(value)
+    n, degree = state.count, state.degree
+    x, xpow = float(n), 1.0
+    for j in range(degree + 1):
+        # Kahan update keeps the moments near-exact as the window grows.
+        term = value * xpow - compensation[j]
+        total = moments[j] + term
+        compensation[j] = (total - moments[j]) - term
+        moments[j] = total
+        xpow *= x
+    state.count = n + 1
+
+    mode = state.sss_mode
+    if mode is SlopeSignMode.FIRST_DIFF_SIGN and state.last_value is not None:
+        _observe_slope(state, value - state.last_value)
+    state.last_value = value
+    if n < degree:
         return False
-    return state.deviation > threshold
 
-
-def _screen(state: WindowState) -> tuple[float, float]:
-    """(F~, Y scale) at the window's newest sample, from its screen-table row."""
-    row = state._screen
-    return sum(map(operator.mul, row, state.moments)), state.peak * row[_SCALE]
+    i = n - state._table_start
+    if i >= _BLOCK_LEN:
+        state._table_start = start = n - n % _BLOCK_LEN
+        state._table = _block(start, degree)[1]
+        i = n - start
+    row = state._table[i]
+    if not peak * row[_BOUND] < _FINITE_BELOW:
+        _exact_fit(state)
+    if mode is SlopeSignMode.ALPHA1_SIGN and degree >= 1:
+        _observe_slope(state, math.fsum((row[_ROW1] * moments[0], moments[1])) / row[_NORM1])
+    if th_dpu is None:
+        return False
+    off = abs(sum(map(operator.mul, row, moments)) - value)
+    if off + _SCREEN_ULPS * (peak * row[_SCALE] + off) + row[_FLOOR] < th_dpu:
+        return False
+    return _exact_fit(state)[2] > th_dpu

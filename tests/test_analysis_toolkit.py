@@ -232,6 +232,17 @@ def test_aggregate_sensitivity_averages_reports():
         aggregate_sensitivity([])
 
 
+def test_sensitivity_means_are_summed_left_to_right():
+    # The mean a left-to-right sum gives on every Python. From 3.12 on,
+    # builtin sum() compensates and gives 0.1595068321050409, a digit the
+    # CSV output prints.
+    triple = [0.19796525667835468, 0.19755523963676805, 0.08300000000000002]
+    report = sensitivity_bounds(triple)
+    assert report.mean_upper == report.mean_lower == 0.15950683210504094
+    agg = aggregate_sensitivity([sensitivity_bounds([score]) for score in triple])
+    assert agg.mean_upper == agg.mean_lower == 0.15950683210504094
+
+
 # ---------------------------------------------------------------------------
 # Boundary offsets
 

@@ -1,10 +1,11 @@
 """The DPU screen decides what the exact fit would, and skips it on quiet data.
 
-``deviation_exceeds`` answers "deviation > th_dpu" from an O(K) estimate of
-the fitted end point and a derived error margin, and runs the exact fit when
-the estimate is within the margin of the threshold.  ``window_grow`` runs
-the exact fit when the screen tables cannot certify that it stays finite, so
-an overflowing fit raises at the same sample as when every sample was fitted.
+``window_grow(state, y, th_dpu)`` answers "deviation > th_dpu" from an O(K)
+estimate of the fitted end point and a derived error margin, and runs the
+exact fit when the estimate is within the margin of the threshold.  It also
+runs the exact fit when the screen tables cannot certify that it stays
+finite, so an overflowing fit raises at the same sample as when every sample
+was fitted.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fcpd import (
     window_grow,
     window_init,
 )
-from fcpd.shape_space import ShapeVector, _screen
+from fcpd.shape_space import ShapeVector
 
 U = 2.0**-53
 OFFSETS = (0.0, 1e3, 1e6)
@@ -46,6 +47,19 @@ def _first_close(series: list[float], th_dpu: float, degree: int) -> int | None:
         if closed is not None:
             return closed.end
     return None
+
+
+def _row(state) -> tuple[float, ...]:
+    """The screen-table row of the window's current length, as window_grow reads it."""
+    n = state.count - 1
+    start = n - n % shape_space._BLOCK_LEN
+    return shape_space._block(start, state.degree)[1][n - start]
+
+
+def _screen(state) -> tuple[float, float]:
+    """(F~, Y scale) at the window's newest sample, with window_grow's arithmetic."""
+    row = _row(state)
+    return sum(map(operator.mul, row, state.moments)), state.peak * row[shape_space._SCALE]
 
 
 @pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
@@ -73,7 +87,7 @@ def test_dpu_closes_exactly_above_the_exact_deviation(degree):
 
 @pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
 def test_screen_estimate_is_within_the_derived_bound(degree):
-    # |exact fit - F~| <= (2K + 8) u S to first order (deviation_exceeds),
+    # |exact fit - F~| <= (2K + 8) u S to first order (window_grow),
     # half the margin the screen takes, at every sample of windows that run
     # past 2 048 samples.
     derived = (2 * degree + 8) * U * (1 + 1e-12)
@@ -89,7 +103,7 @@ def test_screen_estimate_is_within_the_derived_bound(degree):
             shape = ShapeVector(alpha=state.alpha, window_len=n, degree=degree)
             fitted = evaluate(shape, build_basis(n, degree), float(n))
             estimate, bound = _screen(state)
-            floor = state._screen[shape_space._FLOOR]
+            floor = _row(state)[shape_space._FLOOR]
             assert abs(fitted - estimate) <= derived * bound + floor
             worst = max(worst, abs(fitted - estimate) / (U * bound))
     assert worst > 0.0  # the two paths do round differently
@@ -139,7 +153,7 @@ def test_the_peak_bounds_dominate_the_moment_sums(degree):
             window_grow(state, value)
             if state.count <= degree:
                 continue
-            row = state._screen
+            row = _row(state)
             assert state.peak == max(map(abs, series[: state.count]))
             magnitude_sum, certified = _moment_bounds(state)
             _, bound = _screen(state)
@@ -147,6 +161,26 @@ def test_the_peak_bounds_dominate_the_moment_sums(degree):
             assert bound >= magnitude_sum, (kind, state.count)
             assert math.isfinite(row[shape_space._BOUND])
             assert state.peak * row[shape_space._BOUND] >= certified, (kind, state.count)
+
+
+@pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
+def test_the_screened_answer_is_the_exact_comparison(degree):
+    # Twin B grows without a threshold; twin A is asked at every sample with
+    # a threshold one ulp below, at and one ulp above B's exact deviation,
+    # where the screen cannot decide and the exact comparison must.
+    factors = (1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52)
+    for kind, series in _series_of_every_kind(degree, 1100).items():
+        a = window_init(0, degree, sss_mode=None)
+        b = window_init(0, degree, sss_mode=None)
+        for t, value in enumerate(series):
+            window_grow(b, value)
+            if b.deviation is None:
+                assert window_grow(a, value, 1.0) is False
+            else:
+                th_dpu = b.deviation * factors[t % 3]
+                assert window_grow(a, value, th_dpu) == (b.deviation > th_dpu), (kind, t)
+            assert a.moments == b.moments
+            assert a == b
 
 
 @pytest.mark.parametrize("level", [1e3, 0.0, -1e3])

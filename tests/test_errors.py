@@ -11,6 +11,7 @@ import pytest
 
 from fcpd import (
     Atom,
+    FcpdError,
     InvalidConfigError,
     InvalidDataError,
     LevelShift,
@@ -37,6 +38,7 @@ from fcpd import (
     validate_series,
     window_init,
 )
+from fcpd.cli_io import ingest
 
 RULES = """
 var average [-2, 2] { zero: gauss(0, 0.25) }
@@ -201,3 +203,21 @@ def test_bounds_are_named_in_the_message(call, message):
 def test_input_data_that_is_not_numbers_is_a_data_error(call):
     with pytest.raises(InvalidDataError):
         call()
+
+
+@pytest.mark.parametrize(
+    "wrong_type, wrong_value",
+    [
+        (lambda: parse(None), lambda: parse("var x [1, 0] {}")),
+        (lambda: ingest(object()), lambda: ingest("no-such-dir/series.csv")),
+        (lambda: resolve_feature_name(None, 2, 1), lambda: resolve_feature_name("nope", 2, 1)),
+    ],
+    ids=["parse", "ingest", "resolve_feature_name"],
+)
+def test_a_wrong_type_is_a_type_error_and_a_wrong_value_an_fcpd_error(wrong_type, wrong_value):
+    # An argument of the wrong type gets Python's own TypeError; a value of
+    # the right type that fcpd cannot use gets an FcpdError subclass.
+    with pytest.raises(TypeError):
+        wrong_type()
+    with pytest.raises(FcpdError):
+        wrong_value()

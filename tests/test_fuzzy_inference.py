@@ -131,6 +131,15 @@ def test_gaussian_golden_points():
     assert mf_eval(g, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
+def test_gaussian_squares_past_the_float_range():
+    # (x - center)^2 overflows, or the squares of a subnormal width and
+    # distance underflow to zero; the degree is still the Gaussian's.
+    assert mf_eval(gaussian(-1e308, 0.25), -0.14) == 0.0
+    assert mf_eval(gaussian(1e200, 1.0), -1e200) == 0.0
+    assert mf_eval(gaussian(0.0, 5e-324), 5e-324) == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert mf_eval(gaussian(0.0, 5e-324), 0.0) == 1.0
+
+
 def test_z_and_s_shapes_are_complementary_splines():
     z = z_shape(0.0, 1.0)
     s = s_shape(0.0, 1.0)

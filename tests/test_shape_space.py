@@ -554,6 +554,20 @@ def test_window_grow_tracks_count_and_start():
     assert state.start_index == 40
 
 
+def test_windows_compare_by_their_samples_not_their_cached_fit():
+    # The cached fit holds an array, which must not enter ==.
+    a, b = window_init(0, degree=2), window_init(0, degree=2)
+    for value in (1.0, 4.0, 2.0, 8.0):
+        window_grow(a, value)
+        window_grow(b, value)
+    a.alpha, b.alpha  # noqa: B018 - caches each window's fit
+    assert a == b
+    window_grow(a, 1.0)
+    window_grow(b, 2.0)
+    a.alpha, b.alpha  # noqa: B018
+    assert a != b
+
+
 def test_window_grow_rejects_bad_input():
     state = window_init(0, degree=1)
     with pytest.raises(InvalidDataError):
