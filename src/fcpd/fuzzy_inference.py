@@ -64,6 +64,13 @@ class MembershipFunction:
             if not params[0] < params[1]:
                 raise InvalidConfigError(f"{self.kind} needs a < b, got {params}")
         object.__setattr__(self, "params", params)
+        # A set whose span or midpoint overflows is evaluated at x / 2 on
+        # halved parameters, where both are finite and every ratio the same.
+        lo, hi = params[0], params[-1]
+        spans = (hi - lo, lo + hi) if self.kind in ("zmf", "smf") else (hi - lo,)
+        overflows = self.kind != "gauss" and not all(map(math.isfinite, spans))
+        halved = MembershipFunction(self.kind, tuple(p / 2.0 for p in params)) if overflows else None
+        object.__setattr__(self, "_halved", halved)
 
 
 def triangular(a: float, b: float, c: float) -> MembershipFunction:
@@ -103,6 +110,8 @@ def _mf_scalar(mf: MembershipFunction, x: float) -> float:
             ratio = (x - center) / width
             exponent = -0.5 * ratio * ratio
         return _clip_unit(float(np.exp(exponent)))
+    if mf._halved is not None:
+        mf, x = mf._halved, x / 2.0
     if mf.kind in ("zmf", "smf"):
         a, b = mf.params
         span = b - a

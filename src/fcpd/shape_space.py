@@ -382,6 +382,10 @@ class SlopeSignMode(enum.Enum):
     FIRST_DIFF_SIGN = "first-diff"
 
 
+# The members as module globals: reading one off the class costs about 0.1 µs.
+_ALPHA1_SIGN, _FIRST_DIFF_SIGN = SlopeSignMode.ALPHA1_SIGN, SlopeSignMode.FIRST_DIFF_SIGN
+
+
 def check_slope_options(sss_mode, sss_deadband) -> None:
     """Reject a slope mode that is not a SlopeSignMode and a negative or non-finite deadband."""
     if not isinstance(sss_mode, SlopeSignMode):
@@ -396,6 +400,7 @@ class WindowState:
     moments[j] tracks M_j = sum over absorbed samples of y * x^j (local x
     starting at 0), maintained with Kahan compensation, and peak the
     largest |y| absorbed, which bounds every |M_j| (see _screen_table).
+    window_grow replaces the moments and _compensation lists, never edits them.
     The window keeps its current block of screen tables, which window_grow
     refreshes.  alpha and deviation, |fit - y| at the newest sample, are
     None until count >= degree + 1; then they are computed from the moments
@@ -492,6 +497,82 @@ def _exact_fit(state: WindowState) -> tuple[int, np.ndarray, float]:
     return state._fit
 
 
+# window_grow's body at one degree K: the moments m0..mK and their
+# compensations c0..cK live in locals, the Kahan update is written out per j
+# and F~ is summed left to right.  Only integers are formatted into it.
+_GROW_SOURCE = """\
+def grow(state, y, th_dpu):
+    try:
+        value = float(y)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidDataError(f"non-finite sample {{y!r}}")
+    {moments} = state.moments
+    {compensations} = state._compensation
+    peak = state.peak
+    if abs(value) > peak:
+        state.peak = peak = abs(value)
+    n = state.count
+    x = float(n)
+    xpow = 1.0
+{kahan}    state.moments = [{moments}]
+    state._compensation = [{compensations}]
+    state.count = n + 1
+    mode = state.sss_mode
+    if mode is _FIRST_DIFF_SIGN and state.last_value is not None:
+        _observe_slope(state, value - state.last_value)
+    state.last_value = value
+    if n < {degree}:
+        return False
+    i = n - state._table_start
+    if i >= _BLOCK_LEN:
+        state._table_start = start = n - n % _BLOCK_LEN
+        state._table = _block(start, {degree})[1]
+        i = n - start
+    row = state._table[i]
+    if not peak * row[{bound}] < _FINITE_BELOW:
+        _exact_fit(state)
+{alpha1}    if th_dpu is None:
+        return False
+    off = abs(0.0{dot} - value)
+    if off + _SCREEN_ULPS * (peak * row[{scale}] + off) + row[{floor}] < th_dpu:
+        return False
+    return _exact_fit(state)[2] > th_dpu
+"""
+_KAHAN_STEP = """\
+    term = value * xpow - c{j}
+    total = m{j} + term
+    c{j} = (total - m{j}) - term
+    m{j} = total
+"""
+# The alpha1 slope observation, for degrees 1 and up.
+_ALPHA1_STEP = """\
+    if mode is _ALPHA1_SIGN:
+        _observe_slope(state, math.fsum((row[{row1}] * m0, m1)) / row[{norm1}])
+"""
+# The compiled window_grow body of each degree, built on its first call.
+_KERNELS: list = [None] * (MAX_DEGREE + 1)
+
+
+def _grow_kernel(degree: int):
+    """Compile, keep and return window_grow's body for ``degree`` (see _GROW_SOURCE)."""
+    js = range(degree + 1)
+    source = _GROW_SOURCE.format(
+        degree=degree,
+        moments="".join(f"m{j}, " for j in js),
+        compensations="".join(f"c{j}, " for j in js),
+        kahan="    xpow *= x\n".join(_KAHAN_STEP.format(j=j) for j in js),
+        alpha1=_ALPHA1_STEP.format(row1=_ROW1, norm1=_NORM1) if degree >= 1 else "",
+        dot="".join(f" + row[{j}] * m{j}" for j in js),
+        bound=_BOUND, scale=_SCALE, floor=_FLOOR,
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<fcpd window_grow degree {degree}>", "exec"), globals(), namespace)
+    _KERNELS[degree] = kernel = namespace["grow"]
+    return kernel
+
+
 def window_grow(state: WindowState, y: float, th_dpu: float | None = None) -> bool:
     """Absorb one sample and, given ``th_dpu``, answer state.deviation > th_dpu.
 
@@ -522,8 +603,8 @@ def window_grow(state: WindowState, y: float, th_dpu: float | None = None) -> bo
       |fit - Phi| <= gamma_5 S.
     * The screen rounds it at most 2K + 3 times (q_k, r_kj q_k, K additions
       into w_j, the product w_j M_j, K additions into F~), so
-      |F~ - Phi| <= gamma_{2K+3} S.  From Python 3.12 on, sum() adds
-      with compensation, which only tightens this.
+      |F~ - Phi| <= gamma_{2K+3} S.  F~ is summed left to right on
+      every Python, so the same samples take the exact path on each.
     * The computed Y scale is at least S: |M_j| <= (1 + gamma_{j+3}) Y B_j,
       and the table's slack of 2^-30 outweighs that, the roundings of a_j,
       B_j and their sums, and the product with Y.
@@ -538,47 +619,5 @@ def window_grow(state: WindowState, y: float, th_dpu: float | None = None) -> bo
     NaN or an infinity anywhere fails the test and falls back to the exact
     path.
     """
-    try:
-        value = float(y)
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise InvalidDataError(f"non-finite sample {y!r}")
-    moments, compensation = state.moments, state._compensation
-    peak = state.peak
-    if abs(value) > peak:
-        state.peak = peak = abs(value)
-    n, degree = state.count, state.degree
-    x, xpow = float(n), 1.0
-    for j in range(degree + 1):
-        # Kahan update keeps the moments near-exact as the window grows.
-        term = value * xpow - compensation[j]
-        total = moments[j] + term
-        compensation[j] = (total - moments[j]) - term
-        moments[j] = total
-        xpow *= x
-    state.count = n + 1
-
-    mode = state.sss_mode
-    if mode is SlopeSignMode.FIRST_DIFF_SIGN and state.last_value is not None:
-        _observe_slope(state, value - state.last_value)
-    state.last_value = value
-    if n < degree:
-        return False
-
-    i = n - state._table_start
-    if i >= _BLOCK_LEN:
-        state._table_start = start = n - n % _BLOCK_LEN
-        state._table = _block(start, degree)[1]
-        i = n - start
-    row = state._table[i]
-    if not peak * row[_BOUND] < _FINITE_BELOW:
-        _exact_fit(state)
-    if mode is SlopeSignMode.ALPHA1_SIGN and degree >= 1:
-        _observe_slope(state, math.fsum((row[_ROW1] * moments[0], moments[1])) / row[_NORM1])
-    if th_dpu is None:
-        return False
-    off = abs(sum(map(operator.mul, row, moments)) - value)
-    if off + _SCREEN_ULPS * (peak * row[_SCALE] + off) + row[_FLOOR] < th_dpu:
-        return False
-    return _exact_fit(state)[2] > th_dpu
+    kernel = _KERNELS[state.degree] or _grow_kernel(state.degree)
+    return kernel(state, y, th_dpu)

@@ -354,6 +354,25 @@ def test_cli_query_empty_result_still_succeeds(tmp_path, capsys):
     assert "var_alpha_0_1" in err
 
 
+def test_cli_query_scores_sets_whose_span_overflows(tmp_path, capsys):
+    # Both input sets span more than the float range; their degrees once
+    # read 0 everywhere, and every score was the degenerate 0.5.
+    rules = STEP_RULES.replace("[-1, 6]", "[-1e308, 1e308]").replace(
+        "low: zmf(0.5, 2)\n    high: smf(2, 4)",
+        "low: tri(-1.7e308, -1.6e308, 1e308)\n    high: tri(-1e308, 1e308, 1.5e308)",
+    )
+    series_path = _write_series(tmp_path, _step_series())
+    rules_path = _write_rules(tmp_path, rules)
+    code, out, err = _run(
+        capsys,
+        ["query", series_path, "--rules", rules_path, "--degree", "1", "--th-dpu", "0.5",
+         "--format", "json"],
+    )
+    assert (code, err) == (0, "")
+    segments = json.loads(out)["segments"]
+    assert [(s["score"], s["degenerate"]) for s in segments] == [(0.5364668231996432, False)] * 3
+
+
 def test_cli_query_plot_scores(tmp_path, capsys):
     series_path = _write_series(tmp_path, _step_series())
     rules_path = _write_rules(tmp_path, STEP_RULES)

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +63,10 @@ def _row(state) -> tuple[float, ...]:
 def _screen(state) -> tuple[float, float]:
     """(F~, Y scale) at the window's newest sample, with window_grow's arithmetic."""
     row = _row(state)
-    return sum(map(operator.mul, row, state.moments)), state.peak * row[shape_space._SCALE]
+    estimate = 0.0
+    for w, m in zip(row, state.moments):
+        estimate += w * m
+    return estimate, state.peak * row[shape_space._SCALE]
 
 
 @pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
@@ -204,6 +211,45 @@ def test_a_quiet_dpu_stream_runs_few_exact_fits(degree, level, monkeypatch):
     assert len(calls) <= 3
 
 
+def _sensor(seed: int) -> list[float]:
+    rng = np.random.default_rng(seed)
+    t = np.arange(6000, dtype=float)
+    level = 40.0 * (t >= 2000) - 35.0 * (t >= 4500)
+    return (20.0 + level + 2.0 * np.sin(2 * np.pi * t / 2e4) + rng.normal(0.0, 1.0, t.size)).tolist()
+
+
+def _daily(seed: int) -> list[float]:
+    rng = np.random.default_rng(seed)
+    t = np.arange(3000, dtype=float)
+    lam = 40.0 * (1.0 + 0.15 * np.sin(2 * np.pi * t / 7.0)) * (1.0 + 0.4 * (t >= 1200))
+    return rng.poisson(lam).astype(float).tolist()
+
+
+# Exact fits (build_basis calls) per seed 1..3 of each run.
+_EXACT_FITS = {
+    "sensor-dpu-d7": (_sensor, SegmentationConfig(degree=7, th_dpu=8.0, min_segment_len=8), (3, 3, 3)),
+    "daily-dpu-d5": (_daily, SegmentationConfig(degree=5, th_dpu=12.0, min_segment_len=6), (59, 56, 55)),
+    "daily-sss-d5": (_daily, SegmentationConfig(
+        degree=5, th_sss=1, sss_mode=SlopeSignMode.FIRST_DIFF_SIGN, min_segment_len=8,
+    ), (372, 371, 373)),
+}
+
+
+@pytest.mark.parametrize("run", list(_EXACT_FITS))
+def test_the_exact_fits_a_segmentation_runs_are_pinned(run, monkeypatch):
+    # The screen sums F~ left to right, so which samples need the exact fit
+    # does not depend on the interpreter (sum() compensates from 3.12 on).
+    make, config, expected = _EXACT_FITS[run]
+    real = shape_space.build_basis
+    counts = []
+    for seed in (1, 2, 3):
+        calls = []
+        monkeypatch.setattr(shape_space, "build_basis", lambda *a: calls.append(a) or real(*a))
+        segment_series(make(seed), config)
+        counts.append(len(calls))
+    assert tuple(counts) == expected
+
+
 def test_slopes_are_tracked_only_where_something_reads_them():
     def tracks(trigger=None, **thresholds):
         config = SegmentationConfig(degree=3, **thresholds)
@@ -267,3 +313,168 @@ def test_an_overflowing_fit_raises_at_the_same_sample(series, config):
     else:
         with pytest.raises(InvalidDataError, match=rf"^window fit overflows at sample {at}$"):
             segment_series(_SERIES[series], _CONFIGS[config])
+
+
+def _reference_grow(state, y, th_dpu=None) -> bool:
+    """window_grow as one loop over the moments, for every degree: the kernels' reference."""
+    try:
+        value = float(y)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise InvalidDataError(f"non-finite sample {y!r}")
+    moments, compensation = state.moments, state._compensation
+    peak = state.peak
+    if abs(value) > peak:
+        state.peak = peak = abs(value)
+    n, degree = state.count, state.degree
+    x, xpow = float(n), 1.0
+    for j in range(degree + 1):
+        term = value * xpow - compensation[j]
+        total = moments[j] + term
+        compensation[j] = (total - moments[j]) - term
+        moments[j] = total
+        xpow *= x
+    state.count = n + 1
+
+    mode = state.sss_mode
+    if mode is SlopeSignMode.FIRST_DIFF_SIGN and state.last_value is not None:
+        shape_space._observe_slope(state, value - state.last_value)
+    state.last_value = value
+    if n < degree:
+        return False
+
+    i = n - state._table_start
+    if i >= shape_space._BLOCK_LEN:
+        state._table_start = start = n - n % shape_space._BLOCK_LEN
+        state._table = shape_space._block(start, degree)[1]
+        i = n - start
+    row = state._table[i]
+    if not peak * row[shape_space._BOUND] < shape_space._FINITE_BELOW:
+        shape_space._exact_fit(state)
+    if mode is SlopeSignMode.ALPHA1_SIGN and degree >= 1:
+        slope = math.fsum((row[shape_space._ROW1] * moments[0], moments[1]))
+        shape_space._observe_slope(state, slope / row[shape_space._NORM1])
+    if th_dpu is None:
+        return False
+    off = 0.0
+    for w, m in zip(row, moments):
+        off += w * m
+    off = abs(off - value)
+    if off + shape_space._SCREEN_ULPS * (peak * row[shape_space._SCALE] + off) + row[
+        shape_space._FLOOR
+    ] < th_dpu:
+        return False
+    return shape_space._exact_fit(state)[2] > th_dpu
+
+
+_MODES = (None, SlopeSignMode.ALPHA1_SIGN, SlopeSignMode.FIRST_DIFF_SIGN)
+_FIELDS = ("moments", "_compensation", "peak", "count", "sss_count", "prev_slope_sign", "last_value")
+
+
+def _grown(grow, state, value, th_dpu):
+    """grow's answer, or the message of the InvalidDataError it raised."""
+    try:
+        return grow(state, value, th_dpu)
+    except InvalidDataError as exc:
+        return str(exc)
+
+
+def _bits(value):
+    """Floats and lists of floats as hex strings, so -0.0 and NaN compare by their bits."""
+    if isinstance(value, list):
+        return [float.hex(v) for v in value]
+    return float.hex(value) if isinstance(value, float) else value
+
+
+def _assert_twins(ref, new, where) -> None:
+    for name in _FIELDS:
+        assert _bits(getattr(new, name)) == _bits(getattr(ref, name)), (where, name)
+    # Both ran their last exact fit at the same count.
+    assert (new._fit or (0,))[0] == (ref._fit or (0,))[0], where
+
+
+@pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
+def test_each_degree_kernel_matches_the_reference_loop(degree):
+    # Twin windows grow through the reference loop and through window_grow,
+    # asked with no threshold, with one an ulp below, at and an ulp above
+    # the exact deviation, where both must reach the exact comparison, or
+    # with one at the screen's own edge, where the screen's sum decides
+    # whether the exact fit runs at all.
+    factors = (None, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, "edge")
+    n = 1100 if degree in (0, 5, 10) else 400
+    for kind, series in _series_of_every_kind(50 + degree, n).items():
+        exact = window_init(0, degree, sss_mode=None)
+        thresholds = []
+        for t, value in enumerate(series):
+            window_grow(exact, value)
+            factor = factors[t % len(factors)]
+            if factor is None or exact.count <= degree:
+                thresholds.append(None)
+            elif factor == "edge":
+                estimate, scale = _screen(exact)
+                off = abs(estimate - value)
+                floor = _row(exact)[shape_space._FLOOR]
+                thresholds.append(off + shape_space._SCREEN_ULPS * (scale + off) + floor)
+            else:
+                thresholds.append(exact.deviation * factor)
+        for mode in _MODES:
+            ref = window_init(0, degree, mode, 0.01)
+            new = window_init(0, degree, mode, 0.01)
+            for t, (value, th_dpu) in enumerate(zip(series, thresholds)):
+                answer = _reference_grow(ref, value, th_dpu)
+                assert window_grow(new, value, th_dpu) is answer, (kind, mode, t)
+                _assert_twins(ref, new, (kind, mode, t))
+
+
+@pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
+def test_each_degree_kernel_overflows_where_the_reference_does(degree):
+    raised = 0
+    for kind, series in _SERIES.items():
+        for mode in _MODES:
+            for th_dpu in (None, 1e308):
+                ref = window_init(0, degree, mode, 0.0)
+                new = window_init(0, degree, mode, 0.0)
+                for t, value in enumerate(series):
+                    answer = _grown(_reference_grow, ref, value, th_dpu)
+                    assert _grown(window_grow, new, value, th_dpu) == answer, (kind, mode, t)
+                    _assert_twins(ref, new, (kind, mode, t))
+                    if isinstance(answer, str):
+                        raised += 1
+                        break
+    assert raised > 0
+
+
+def test_kernels_are_built_on_first_use_once_per_degree(monkeypatch):
+    # A fresh interpreter builds none on import or for a new stream.
+    src = Path(shape_space.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import fcpd\n"
+        "from fcpd import shape_space as s\n"
+        "built = lambda: [d for d, k in enumerate(s._KERNELS) if k is not None]\n"
+        "assert built() == [], built()\n"
+        "stream = fcpd.SegmentStream(fcpd.SegmentationConfig(degree=3, th_dpu=1.0))\n"
+        "assert built() == [], built()\n"
+        "stream.push(1.0)\n"
+        "assert built() == [3], built()\n"
+    )
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+    compiled = []
+    real_compile = compile
+
+    def counting(source, filename, *args):
+        compiled.append(filename)
+        return real_compile(source, filename, *args)
+
+    monkeypatch.setattr(shape_space, "_KERNELS", [None] * (MAX_DEGREE + 1))
+    monkeypatch.setattr(shape_space, "compile", counting, raising=False)
+    for degree in (*range(MAX_DEGREE + 1), 7, 0):
+        for _ in range(2):
+            state = window_init(0, degree)
+            for value in range(degree + 3):
+                window_grow(state, float(value % 3), 1.0)
+    assert compiled == [f"<fcpd window_grow degree {d}>" for d in range(MAX_DEGREE + 1)]
+    for degree, kernel in enumerate(shape_space._KERNELS):
+        assert kernel.__code__.co_filename == f"<fcpd window_grow degree {degree}>"

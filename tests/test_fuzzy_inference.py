@@ -140,6 +140,18 @@ def test_gaussian_squares_past_the_float_range():
     assert mf_eval(gaussian(0.0, 5e-324), 0.0) == 1.0
 
 
+def test_spans_and_midpoints_past_the_float_range():
+    # b - a or (a + b) / 2 overflows; the degree is still the set's, from
+    # halved operands, and sets whose spans stay finite keep their bits.
+    assert mf_eval(triangular(-1e308, 1e308, 1.5e308), 1e308) == 1.0
+    assert mf_eval(s_shape(-1.7e308, 1.7e308), 1e307) == 0.5570934256055363
+    assert mf_eval(z_shape(-1.7e308, 1.7e308), 1e307) == 0.4429065743944637
+    assert mf_eval(s_shape(1e308, 1.5e308), 1.4e308) == 0.92
+    assert mf_eval(trapezoidal(-1.7e308, -1e308, 1e308, 1.7e308), 1.5e308) == 0.28571428571428564
+    assert triangular(0.0, 1.0, 1e308)._halved is None
+    assert mf_eval(triangular(0.0, 1.0, 1e308), 5e-324) == 5e-324
+
+
 def test_z_and_s_shapes_are_complementary_splines():
     z = z_shape(0.0, 1.0)
     s = s_shape(0.0, 1.0)
