@@ -9,7 +9,8 @@ with its side, seed and finishing time, the order in which the runs
 finished, the Python, numpy and CPU details of the host (so run it on the
 host that ran the benchmark), and, per workload and end-to-end metric, the
 medians of both sides, the parent's quartiles, the pairs the change won, the
-metric's bound from BENCHMARK.json and a verdict (see verdict()).
+metric's bound from BENCHMARK.json, a verdict (see verdict()) and the
+median and quartiles of the change/parent ratio taken seed by seed.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ def verdict(parent: list[float], change: list[float], lower_is_better: bool,
     return "within_bound"
 
 
+def _quartiles(values: list[float]) -> list[float | None]:
+    """[q1, median, q3] of ``values``: the one value thrice, or None thrice when empty."""
+    if len(values) < 2:
+        return (values or [None]) * 3
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, statistics.median(values), q3]
+
+
 def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per workload and end-to-end metric, over untraced runs paired by seed."""
     summary: dict = {}
@@ -101,7 +110,8 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
             parent = [p for p, _ in pairs]
             change = [c for _, c in pairs]
             wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
-            quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else [parent[0]] * 3
+            quartiles = _quartiles(parent)
+            ratios = _quartiles([c / p for p, c in pairs if p != 0])
             summary[workload][name] = {
                 "parent_median": statistics.median(parent),
                 "change_median": statistics.median(change),
@@ -109,6 +119,9 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
                 "parent_q1": quartiles[0],
                 "parent_q3": quartiles[2],
                 "change_better_pairs": f"{wins}/{len(pairs)}",
+                "paired_ratio_median": ratios[1],
+                "paired_ratio_q1": ratios[0],
+                "paired_ratio_q3": ratios[2],
                 "bound": bounds[name],
                 "verdict": verdict(parent, change, direction == "lower", bounds[name], quartiles),
             }
