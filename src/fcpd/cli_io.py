@@ -52,6 +52,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RULES = 4
+# The exit code of each error class a subcommand reports (the README's "Exit codes").
+_EXIT_CODES = {
+    InvalidConfigError: EXIT_CONFIG,
+    InvalidDataError: EXIT_DATA,
+    InsufficientDataError: EXIT_DATA,
+    QueryError: EXIT_RULES,
+    MissingFeatureError: EXIT_RULES,
+}
 
 # The coefficient orders that fcpd cluster groups segments by: slope and curvature.
 _CLUSTER_PAIR = (1, 2)
@@ -245,8 +253,8 @@ def _segment_row(fields: dict, degree: int) -> list:
     return [fields[name] for name in SEGMENT_COLUMNS] + (fields["alpha"] or [None] * (degree + 1))
 
 
-def _alpha_header(degree: int) -> list[str]:
-    return [f"alpha_{k}" for k in range(degree + 1)]
+def _alpha_header(orders) -> list[str]:
+    return [f"alpha_{k}" for k in orders]
 
 
 def _cell(value) -> str:
@@ -370,7 +378,7 @@ def _cmd_segment(args) -> int:
             "segments": segments,
             "change_points": list(segmentation.change_points),
         },
-        SEGMENT_COLUMNS + _alpha_header(config.degree),
+        SEGMENT_COLUMNS + _alpha_header(range(config.degree + 1)),
         [_segment_row(s, config.degree) for s in segments],
     )
     if args.plot_dir:
@@ -395,7 +403,7 @@ def _cmd_query(args) -> int:
                 {"index": s.segment_index, "missing": list(s.missing)} for s in result.skipped
             ],
         },
-        SEGMENT_COLUMNS + _alpha_header(degree) + ["score"],
+        SEGMENT_COLUMNS + _alpha_header(range(degree + 1)) + ["score"],
         [_segment_row(s, degree) + [s["score"]] for s in segments],
         [
             f"skipped segment {s.segment_index}: missing {', '.join(s.missing)}"
@@ -453,9 +461,10 @@ def _cmd_cluster(args) -> int:
             "excluded": list(result.excluded),
             "inertia": result.inertia,
         },
-        ["index", "start", "end", "length", "alpha_1", "alpha_2", "cluster", "representative"],
+        ["index", "start", "end", "length", *_alpha_header(_CLUSTER_PAIR),
+         "cluster", "representative"],
         [
-            [s.index, s.start, s.end, s.length, s.alpha.alpha[1], s.alpha.alpha[2],
+            [s.index, s.start, s.end, s.length, *(s.alpha.alpha[k] for k in _CLUSTER_PAIR),
              cluster, representative]
             for s, cluster, representative in members
         ],
@@ -562,37 +571,27 @@ def _cmd_offsets(args) -> int:
 # Argument parsing
 
 
+# The flags' defaults are the library's own, read when a parser is built.
 def _add_segmentation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--degree", type=int, default=5, help="fit degree K (default 5)")
-    parser.add_argument("--th-dpu", type=float, default=None, help="deviation threshold")
-    parser.add_argument("--th-sss", type=int, default=None, help="slope-sign-switch threshold")
-    parser.add_argument(
-        "--sss-mode",
-        choices=[m.value for m in SlopeSignMode],
-        default=SlopeSignMode.ALPHA1_SIGN.value,
-        help="slope definition for sign switches (default alpha1)",
-    )
-    parser.add_argument(
-        "--sss-deadband", type=float, default=0.01, help="slope deadband (default 0.01)"
-    )
-    parser.add_argument("--min-segment-len", type=int, default=None)
-    parser.add_argument(
-        "--tail-policy",
-        choices=[p.value for p in TailPolicy],
-        default=TailPolicy.EMIT_FLAGGED.value,
-        help="emit or drop the unfinished tail segment (default emit)",
-    )
-    parser.add_argument(
-        "--normalize", action="store_true", help="normalize to mean 0 / variance 1 first"
-    )
+    add, config = parser.add_argument, SegmentationConfig
+    add("--degree", type=int, default=config.degree, help="fit degree K (default %(default)s)")
+    add("--th-dpu", type=float, default=None, help="deviation threshold")
+    add("--th-sss", type=int, default=None, help="slope-sign-switch threshold")
+    add("--sss-mode", choices=[m.value for m in SlopeSignMode], default=config.sss_mode.value,
+        help="slope definition for sign switches (default %(default)s)")
+    add("--sss-deadband", type=float, default=config.sss_deadband,
+        help="slope deadband (default %(default)s)")
+    add("--min-segment-len", type=int, default=None)
+    add("--tail-policy", choices=[p.value for p in TailPolicy], default=config.tail_policy.value,
+        help="emit or drop the unfinished tail segment (default %(default)s)")
+    add("--normalize", action="store_true", help="normalize to mean 0 / variance 1 first")
 
 
 def _add_rule_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rules", required=True, help="rule file (.fcq)")
-    parser.add_argument("--delay", type=int, default=1, help="variation delay d (default 1)")
-    parser.add_argument(
-        "--epsilon", type=float, default=1e-9, help="variation denominator guard"
-    )
+    add, config = parser.add_argument, RunConfig
+    add("--rules", required=True, help="rule file (.fcq)")
+    add("--delay", type=int, default=config.delay, help="variation delay d (default %(default)s)")
+    add("--epsilon", type=float, default=config.epsilon, help="variation denominator guard")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, plot: bool = False) -> None:
@@ -656,15 +655,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (QueryError, MissingFeatureError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RULES
-    except InvalidConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InvalidDataError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -463,7 +463,7 @@ def to_fis(doc: QueryDocument) -> FisConfig:
 
     The output variable is the one all rule consequents agree on; every other
     declared variable becomes an input.  The output grid has the document's
-    ``set resolution`` points, 1001 by default.
+    ``set resolution`` points, FisConfig's by default.
     """
     if not doc.rules:
         raise DslValueError("document declares no rules", 1, 1)
@@ -477,7 +477,7 @@ def to_fis(doc: QueryDocument) -> FisConfig:
     if output is None:
         raise UnknownReferenceError(f"variable {output_name!r} is not declared", 1, 1)
     inputs = tuple(v for v in doc.variables if v.name != output_name)
-    resolution = int(doc.options.get("resolution", 1001))
+    resolution = int(doc.options.get("resolution", FisConfig.resolution))
     try:
         return FisConfig(inputs=inputs, output=output, rules=doc.rules, resolution=resolution)
     except InvalidConfigError as exc:

@@ -243,8 +243,8 @@ def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> tuple[tuple
     """Screen tables of the window lengths ``n``, one tuple of floats each.
 
     Built in one numpy pass from the packed rows r_kj, norms N_k and
-    offsets.  p_k(n) at the end point runs _recurse's recursion elementwise,
-    so each is the exact path's own float p^_k.  With q_k = p^_k / N_k,
+    offsets.  p_k(n) at the end point comes from _recurse itself, so each
+    is the exact path's own float p^_k.  With q_k = p^_k / N_k,
     a_j = sum_k |r_kj q_k| and B_j = (n+1)^(j+1) / (j+1), which is at least
     sum_{i<=n} i^j, so |M_j| <= (1 + gamma_{j+3}) Y B_j for a window whose
     samples are at most Y in magnitude (j roundings of y i^j, 2u of Kahan):
@@ -271,16 +271,11 @@ def _screen_table(n: np.ndarray, degree: int, packed: np.ndarray) -> tuple[tuple
     """
     *rows, norms, offsets = _LAYOUTS[degree](packed.T)
     x = n.astype(float)
-    shifted = x - x / 2.0
     tiny = np.finfo(float).tiny
     w = np.zeros((degree + 1, x.size))
     a = np.zeros_like(w)
     with np.errstate(all="ignore"):
-        prev, cur = 0.0, np.ones_like(x)
-        p = [cur]
-        for b in offsets:
-            prev, cur = cur, shifted * cur - b * prev
-            p.append(cur)
+        p = np.broadcast_arrays(x, *_recurse(x, x, offsets))[1:]
         scale = np.maximum(1.0, 1.0 / norms)
         floor = 2.0**-1000 * np.maximum(1.0, np.max(np.abs(p) * scale, axis=0))
         bound = np.zeros_like(x)
@@ -404,7 +399,7 @@ class WindowState:
     The window keeps its current block of screen tables, which window_grow
     refreshes.  alpha and deviation, |fit - y| at the newest sample, are
     None until count >= degree + 1; then they are computed from the moments
-    when read, once per count.
+    when read, once per count.  window_init builds every WindowState.
     prev_slope_sign is the last non-zero slope sign observed; values inside
     the deadband neither match nor break it.  A window whose sss_mode is
     None counts no slope and leaves sss_count at 0.
@@ -412,8 +407,8 @@ class WindowState:
 
     start_index: int
     degree: int
-    sss_mode: SlopeSignMode | None = SlopeSignMode.ALPHA1_SIGN
-    sss_deadband: float = 0.01
+    sss_mode: SlopeSignMode | None
+    sss_deadband: float
     count: int = 0
     moments: list[float] = field(default_factory=list)
     last_value: float | None = None

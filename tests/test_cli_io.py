@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fcpd import (
+    DslSyntaxError,
     InsufficientDataError,
     InvalidConfigError,
     InvalidDataError,
@@ -19,6 +20,7 @@ from fcpd import (
     RunConfig,
     SegmentationConfig,
     SlopeSignMode,
+    cli_io,
     generate_cycle,
     ingest,
     main,
@@ -669,3 +671,25 @@ def test_cli_offsets_json(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["offsets"] == [3.0, 1.0, 2.0]
     assert payload["unmatched_reference"] == []
+
+
+def test_cli_flag_defaults_are_the_librarys():
+    args = cli_io.build_parser().parse_args(["query", "x.csv", "--rules", "r.fcq", "--th-dpu", "1"])
+    config = cli_io._run_config(args, rules_text="")
+    assert config == RunConfig(SegmentationConfig(th_dpu=1.0), rules_text="")
+
+
+@pytest.mark.parametrize("error, code", [
+    (InvalidConfigError("boom"), 2),
+    (InvalidDataError("boom"), 3),
+    (InsufficientDataError("boom"), 3),
+    (QueryError("boom", 1, 1), 4),
+    (DslSyntaxError("boom", 1, 1), 4),
+    (MissingFeatureError("boom"), 4),
+])
+def test_cli_exit_code_of_each_error_class(tmp_path, capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli_io, "_cmd_offsets", fail)
+    assert _run(capsys, ["offsets", "ref.txt", "cand.txt"]) == (code, "", f"error: {error}\n")

@@ -478,3 +478,27 @@ def test_kernels_are_built_on_first_use_once_per_degree(monkeypatch):
     assert compiled == [f"<fcpd window_grow degree {d}>" for d in range(MAX_DEGREE + 1)]
     for degree, kernel in enumerate(shape_space._KERNELS):
         assert kernel.__code__.co_filename == f"<fcpd window_grow degree {degree}>"
+
+
+def _inline_recurse(x, window_len, offsets):
+    """The screen's own copy of the recursion, before it read p_k from _recurse."""
+    shifted = x - x / 2.0
+    prev, cur = 0.0, np.ones_like(x)
+    yield cur
+    for b in offsets:
+        prev, cur = cur, shifted * cur - b * prev
+        yield cur
+
+
+@pytest.mark.parametrize("start", [0, 8192, 303_699_968])
+def test_screen_tables_match_the_inline_recursion(start, monkeypatch):
+    # The last is the first block that reaches past the int64 cap, built in Python ints.
+    assert (start + shape_space._BLOCK_LEN > shape_space._INT64_LEN_CAP) == (start == 303_699_968)
+    build = shape_space._block.__wrapped__
+    tables = [build(start, degree)[1] for degree in range(MAX_DEGREE + 1)]
+    monkeypatch.setattr(shape_space, "_recurse", _inline_recurse)
+    for degree, table in enumerate(tables):
+        reference = build(start, degree)[1]
+        # Every float by its bits, so signed zeros and NaNs count too.
+        bits = np.array(table).view(np.uint64)
+        assert np.array_equal(bits, np.array(reference).view(np.uint64)), degree
