@@ -87,27 +87,36 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _read_file(path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InvalidDataError(f"cannot read {path}: {exc}") from None
+
+
+def _lines(text: str):
+    """(line number, stripped line) of each non-blank line, past one leading byte-order mark."""
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
 def ingest(source) -> np.ndarray:
     """Read a series from a CSV path, an open file, or '-' (stdin).
 
     Accepts one value per line or ``t,value`` rows.  A non-numeric first row
     is treated as a header.  The t column must be strictly increasing
-    integers advancing by exactly 1.
+    integers advancing by exactly 1.  A leading byte-order mark is ignored.
     """
     if hasattr(source, "read"):
         text = source.read()
     elif source == "-":
         text = sys.stdin.read()
     else:
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise InvalidDataError(f"cannot read {source}: {exc}") from None
+        text = _read_file(source)
     rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) > 2:
             raise InvalidDataError(f"line {lineno}: expected 1 or 2 columns, got {len(parts)}")
@@ -536,17 +545,7 @@ def _cmd_generate(args) -> int:
 
 
 def _read_indices(path: str) -> list[float]:
-    values = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidDataError(f"cannot read {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        values.append(_parse_number(line, lineno, "index"))
-    return values
+    return [_parse_number(line, lineno, "index") for lineno, line in _lines(_read_file(path))]
 
 
 def _cmd_offsets(args) -> int:
@@ -658,7 +657,3 @@ def main(argv=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

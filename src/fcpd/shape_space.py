@@ -399,7 +399,8 @@ class WindowState:
     The window keeps its current block of screen tables, which window_grow
     refreshes.  alpha and deviation, |fit - y| at the newest sample, are
     None until count >= degree + 1; then they are computed from the moments
-    when read, once per count.  window_init builds every WindowState.
+    when read, once per count; alpha is read-only.  window_init builds
+    every WindowState.
     prev_slope_sign is the last non-zero slope sign observed; values inside
     the deadband neither match nor break it.  A window whose sss_mode is
     None counts no slope and leaves sss_count at 0.
@@ -488,7 +489,9 @@ def _exact_fit(state: WindowState) -> tuple[int, np.ndarray, float]:
     deviation = abs(fitted - state.last_value)
     if not math.isfinite(deviation):
         raise InvalidDataError(f"window fit overflows at sample {state.start_index + n}")
-    state._fit = (state.count, np.array(alpha), deviation)
+    alpha = np.array(alpha)
+    alpha.flags.writeable = False
+    state._fit = (state.count, alpha, deviation)
     return state._fit
 
 

@@ -286,6 +286,11 @@ def test_empty_candidate_list_matches_nothing():
     assert result.unmatched_reference == (7.0, 9.0)
 
 
+def test_boundary_lists_must_be_flat():
+    with pytest.raises(InvalidDataError, match="^boundary indices must be 1-D sequences$"):
+        change_point_offsets([[1.0]], [1.0])
+
+
 def test_input_order_does_not_matter():
     assert change_point_offsets([30, 10, 20], [32, 13, 21]) == change_point_offsets(
         [10, 20, 30], [13, 21, 32]

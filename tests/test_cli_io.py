@@ -5,7 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,19 @@ def test_ingest_from_path_and_stdin(tmp_path, monkeypatch):
     assert np.array_equal(ingest(path), [3.0, 4.0])
     monkeypatch.setattr("sys.stdin", io.StringIO("3\n4\n"))
     assert np.array_equal(ingest("-"), [3.0, 4.0])
+
+
+@pytest.mark.parametrize("text, values", [
+    ("\ufeff5.0\n1.0\n2.0\n3.0\n", [5.0, 1.0, 2.0, 3.0]),
+    ("\ufeffvalue\n1.0\n2.0\n", [1.0, 2.0]),
+    ("\ufefft,y\n0,1.5\n1,2.5\n", [1.5, 2.5]),
+], ids=["no header", "header", "two-column header"])
+def test_ingest_ignores_a_leading_byte_order_mark(tmp_path, monkeypatch, text, values):
+    path = tmp_path / "bom.csv"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    for source in (str(path), io.StringIO(text), "-"):
+        assert ingest(source).tolist() == values, source
 
 
 # (input, test id, full message)
@@ -693,3 +710,42 @@ def test_cli_exit_code_of_each_error_class(tmp_path, capsys, monkeypatch, error,
 
     monkeypatch.setattr(cli_io, "_cmd_offsets", fail)
     assert _run(capsys, ["offsets", "ref.txt", "cand.txt"]) == (code, "", f"error: {error}\n")
+
+
+def test_cli_offsets_ignores_a_leading_byte_order_mark(tmp_path, capsys):
+    ref = tmp_path / "ref.txt"
+    cand = tmp_path / "cand.txt"
+    ref.write_text("\ufeff10\n20\n", encoding="utf-8")
+    cand.write_text("\ufeff13\n21\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["offsets", str(ref), str(cand), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pairs"] == [[10.0, 13.0], [20.0, 21.0]]
+
+
+def test_python_dash_m_fcpd_runs_the_cli(tmp_path):
+    src = str(Path(cli_io.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-W", "error", "-m", "fcpd"]
+    done = subprocess.run(argv + ["generate", "--length", "8", "--period", "4", "--no-anomalies"],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    expected = generate_cycle(n=8, period=4.0, seed=0, anomalies=())
+    assert [float(v) for v in done.stdout.split()] == expected.tolist()
+    missing = str(tmp_path / "missing.txt")
+    done = subprocess.run(argv + ["offsets", missing, missing], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 3
+    assert done.stderr.startswith(f"error: cannot read {missing}: ")
+
+
+def test_cli_unreadable_rules_and_boundary_files(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    series = _write_series(tmp_path, _step_series())
+    code, out, err = _run(capsys, ["query", series, "--rules", missing, "--th-dpu", "0.5"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read rules file {missing}: ")
+    ref = tmp_path / "ref.txt"
+    ref.write_text("10\n")
+    code, out, err = _run(capsys, ["offsets", missing, str(ref)])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot read {missing}: ")

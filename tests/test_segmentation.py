@@ -16,6 +16,7 @@ from fcpd import (
     InvalidConfigError,
     InvalidDataError,
     MAX_DEGREE,
+    Segment,
     SegmentStream,
     Segmentation,
     SegmentationConfig,
@@ -418,6 +419,20 @@ def test_short_tail_has_no_shape_vector():
     assert tail is not None
     assert tail.alpha is None
     assert (tail.start, tail.end, tail.closed_by) == (0, 3, ClosedBy.END_OF_STREAM)
+
+
+def test_the_window_fit_is_read_only():
+    stream = SegmentStream(SegmentationConfig(degree=1, th_dpu=0.5))
+    for v in (1.0, 2.0, 3.0):
+        assert stream.push(v) is None
+    with pytest.raises(ValueError):
+        stream.state.alpha[0] = 99.0
+    assert stream.finish().alpha.alpha.tolist() == [2.0, 1.0]
+
+
+def test_a_segment_cannot_end_before_it_starts():
+    with pytest.raises(InvalidConfigError, match="^segment end 4 precedes start 5$"):
+        Segment(index=0, start=5, end=4, alpha=None, closed_by=ClosedBy.DPU)
 
 
 def test_finish_is_idempotent_and_blocks_push():

@@ -498,6 +498,12 @@ def test_shape_vector_equality():
     c = ShapeVector(alpha=np.array([1.0, 2.5]), window_len=5, degree=1)
     assert a == b and a != c
     assert a != ShapeVector(alpha=np.array([1.0, 2.0]), window_len=6, degree=1)
+    assert (a == object()) is False
+
+
+def test_shape_vector_needs_one_coefficient_per_order():
+    with pytest.raises(InvalidConfigError, match="alpha must have 3 entries, got shape"):
+        ShapeVector(alpha=np.array([1.0, 2.0]), window_len=5, degree=2)
 
 
 def test_window_grow_matches_batch_fit():
