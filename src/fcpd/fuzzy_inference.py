@@ -145,8 +145,6 @@ def mf_eval(mf: MembershipFunction, x):
     Every value goes through the same plain-float code: a scalar returns a
     float, an array an array of the same shape holding each element's degree.
     """
-    if isinstance(x, float):  # infer's path: a conversion costs more than a degree
-        return _mf_scalar(mf, _finite(x))
     xs = as_floats("membership input", x)
     if xs.ndim == 0:
         return _mf_scalar(mf, _finite(float(xs)))
@@ -316,8 +314,9 @@ def _eval_expr(expr: Expr, variables: Mapping[str, LinguisticVariable], values) 
             raise MissingFeatureError(
                 f"no finite value for input variable {expr.variable!r}"
             )
-        x = min(max(x, var.lo), var.hi)
-        degree = mf_eval(var.sets[expr.fuzzy_set], x)
+        # float(): the clamp may return an int domain bound, and past 2^53 an
+        # int compares with the set's float parameters unlike its float.
+        degree = _mf_scalar(var.sets[expr.fuzzy_set], float(min(max(x, var.lo), var.hi)))
         return 1.0 - degree if expr.negated else degree
     if isinstance(expr, And):
         return min(_eval_expr(expr.left, variables, values), _eval_expr(expr.right, variables, values))

@@ -16,7 +16,7 @@ disjunctive; configure one or both thresholds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InsufficientDataError, InvalidConfigError, check_int, check_real
@@ -142,11 +142,7 @@ class SegmentStream:
         # The criteria are checked on a push that finds this many samples or more.
         self._checked_from = config.effective_min_len - 1
         self._th_dpu, self._th_sss = config.th_dpu, config.th_sss
-        self._state = self._window(start_index)
-
-    def _window(self, start_index: int) -> WindowState:
-        cfg = self._config
-        return window_init(start_index, cfg.degree, self._sss_mode, cfg.sss_deadband)
+        self._state = window_init(start_index, config.degree, self._sss_mode, config.sss_deadband)
 
     @property
     def state(self) -> WindowState:
@@ -173,7 +169,8 @@ class SegmentStream:
         else:
             return None
         segment = self._close(reason)
-        self._state = self._window(segment.end + 1)
+        # The options were checked with the first window; later ones reuse them.
+        self._state = WindowState(segment.end + 1, state.degree, state.sss_mode, state.sss_deadband)
         return segment
 
     def finish(self) -> Segment | None:
@@ -188,9 +185,9 @@ class SegmentStream:
     def _close(self, reason: ClosedBy) -> Segment:
         """Record the current window as the next segment, closed for ``reason``."""
         state = self._state
-        alpha = None
-        if state.alpha is not None:
-            alpha = ShapeVector(alpha=state.alpha, window_len=state.count - 1, degree=state.degree)
+        alpha = state.alpha
+        if alpha is not None:
+            alpha = ShapeVector(alpha=alpha, window_len=state.count - 1, degree=state.degree)
         segment = Segment(
             index=len(self._segments),
             start=state.start_index,

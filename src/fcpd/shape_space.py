@@ -399,8 +399,8 @@ class WindowState:
     The window keeps its current block of screen tables, which window_grow
     refreshes.  alpha and deviation, |fit - y| at the newest sample, are
     None until count >= degree + 1; then they are computed from the moments
-    when read, once per count; alpha is read-only.  window_init builds
-    every WindowState.
+    when read, once per count; alpha is read-only.  Given only its first
+    four fields, a WindowState is a fresh empty window; window_init checks them.
     prev_slope_sign is the last non-zero slope sign observed; values inside
     the deadband neither match nor break it.  A window whose sss_mode is
     None counts no slope and leaves sss_count at 0.
@@ -411,18 +411,24 @@ class WindowState:
     sss_mode: SlopeSignMode | None
     sss_deadband: float
     count: int = 0
-    moments: list[float] = field(default_factory=list)
+    moments: list[float] = None  # degree + 1 zeros unless given
     last_value: float | None = None
     sss_count: int = 0
     prev_slope_sign: int = 0
     peak: float = 0.0
-    _compensation: list[float] = field(default_factory=list, repr=False)
+    _compensation: list[float] = field(default=None, repr=False)  # likewise
     # The screen tables of the lengths _table_start.._table_start+_BLOCK_LEN-1
     # (none before the first is read), set by window_grow.
     _table: tuple[tuple[float, ...], ...] | None = field(default=None, repr=False, compare=False)
     _table_start: int = field(default=-_BLOCK_LEN, repr=False, compare=False)
     # (count, alpha, deviation) of the last exact fit: a cache of the moments.
     _fit: tuple[int, np.ndarray, float] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.moments is None:
+            self.moments = [0.0] * (self.degree + 1)
+        if self._compensation is None:
+            self._compensation = [0.0] * (self.degree + 1)
 
     @property
     def alpha(self) -> np.ndarray | None:
@@ -445,14 +451,8 @@ def window_init(
     """
     degree = check_int("degree", degree, 0, MAX_DEGREE)
     check_slope_options(SlopeSignMode.ALPHA1_SIGN if sss_mode is None else sss_mode, sss_deadband)
-    return WindowState(
-        start_index=check_int("start_index", start_index, 0),
-        degree=degree,
-        sss_mode=sss_mode,
-        sss_deadband=float(sss_deadband),
-        moments=[0.0] * (degree + 1),
-        _compensation=[0.0] * (degree + 1),
-    )
+    start_index = check_int("start_index", start_index, 0)
+    return WindowState(start_index, degree, sss_mode, float(sss_deadband))
 
 
 def _observe_slope(state: WindowState, slope: float) -> None:
