@@ -89,7 +89,7 @@ def _is_number(text: str) -> bool:
 
 def _read_file(path) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise InvalidDataError(f"cannot read {path}: {exc}") from None
 
@@ -304,13 +304,13 @@ def _write_plot_data(
 ) -> None:
     out = Path(plot_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "series.dat", "w") as fh:
+    with open(out / "series.dat", "w", encoding="utf-8") as fh:
         for x, y in enumerate(series):
             fh.write(f"{x} {_fmt(y)}\n")
-    with open(out / "boundaries.dat", "w") as fh:
+    with open(out / "boundaries.dat", "w", encoding="utf-8") as fh:
         for cp in segmentation.change_points:
             fh.write(f"{cp}\n")
-    with open(out / "fit.dat", "w") as fh:
+    with open(out / "fit.dat", "w", encoding="utf-8") as fh:
         for segment in segmentation.segments:
             if segment.alpha is None:
                 continue
@@ -319,7 +319,7 @@ def _write_plot_data(
             for x, y in enumerate(fitted, start=segment.start):
                 fh.write(f"{x} {_fmt(y)}\n")
     if scores is not None:
-        with open(out / "scores.dat", "w") as fh:
+        with open(out / "scores.dat", "w", encoding="utf-8") as fh:
             for index in sorted(scores):
                 fh.write(f"{index} {_fmt(scores[index])}\n")
 
@@ -359,7 +359,7 @@ def _run_config(args, rules_text: str) -> RunConfig:
 
 def _read_rules(args) -> str:
     try:
-        return Path(args.rules).read_text()
+        return Path(args.rules).read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise InvalidConfigError(f"cannot read rules file {args.rules}: {exc}") from None
 

@@ -247,9 +247,13 @@ class FisConfig:
                 f"output variable {self.output.name!r} also declared as an input"
             )
         by_name = {v.name: v for v in self.inputs}
-        for rule in self.rules:
+        for number, rule in enumerate(self.rules, start=1):
             for atom in _atoms(rule.antecedent):
                 var = by_name.get(atom.variable)
+                if atom.variable == self.output.name:
+                    raise InvalidConfigError(
+                        f"rule {number} reads the output variable {atom.variable!r}"
+                    )
                 if var is None:
                     raise InvalidConfigError(
                         f"rule references unknown input variable {atom.variable!r}"

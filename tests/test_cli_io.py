@@ -749,3 +749,73 @@ def test_cli_unreadable_rules_and_boundary_files(tmp_path, capsys):
     code, out, err = _run(capsys, ["offsets", missing, str(ref)])
     assert (code, out) == (3, "")
     assert err.startswith(f"error: cannot read {missing}: ")
+
+
+# ---------------------------------------------------------------------------
+# CLI: files are read as UTF-8 whatever the locale; a byte that is not UTF-8
+# reaches the parsers as a lone surrogate, as it does from stdin.
+
+
+def _series_bytes(header: bytes) -> bytes:
+    return header + "".join(f"{i},{v}\n" for i, v in enumerate(_step_series())).encode()
+
+
+def test_cli_skips_a_header_that_is_not_utf8(tmp_path, capsys):
+    latin1, plain = tmp_path / "latin1.csv", tmp_path / "plain.csv"
+    latin1.write_bytes(_series_bytes(b"d\xeda,count\n"))
+    plain.write_bytes(_series_bytes(b"dia,count\n"))
+    argv = ["segment", "--th-dpu", "1", "--degree", "1"]
+    expected = _run(capsys, argv + [str(plain)])
+    assert expected[0] == 0
+    assert _run(capsys, argv + [str(latin1)]) == expected
+
+
+def test_cli_rejects_a_value_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"value\n1\n2\xe9\n3\n")
+    code, out, err = _run(capsys, ["segment", str(path), "--th-dpu", "1", "--degree", "1"])
+    assert (code, out, err) == (3, "", "error: line 3: value '2\\udce9' is not a number\n")
+
+
+def test_cli_rules_with_a_byte_that_is_not_utf8(tmp_path, capsys):
+    series = _write_series(tmp_path, _step_series())
+    rules = tmp_path / "rules.fcq"
+    argv = ["query", series, "--rules", str(rules), "--th-dpu", "1"]
+    rules.write_bytes(STEP_RULES.encode())
+    expected = _run(capsys, argv)
+    assert expected[0] == 0
+    rules.write_bytes(b"# caf\xe9\n" + STEP_RULES.encode())
+    assert _run(capsys, argv) == expected
+    rules.write_bytes(STEP_RULES.encode().replace(b"var average", b"var av\xe9rage"))
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (4, "", "error: line 1, column 7: unexpected character '\\udce9'\n")
+
+
+def test_cli_rejects_a_boundary_that_is_not_utf8(tmp_path, capsys):
+    ref, cand = tmp_path / "ref.txt", tmp_path / "cand.txt"
+    ref.write_bytes(b"\xff3\n")
+    cand.write_text("3\n")
+    code, out, err = _run(capsys, ["offsets", str(ref), str(cand)])
+    assert (code, out, err) == (3, "", "error: line 1: index '\\udcff3' is not a number\n")
+
+
+def test_cli_file_io_does_not_depend_on_the_locale(tmp_path):
+    # An ASCII locale without UTF-8 mode; -X warn_default_encoding and -W error
+    # turn every read or write left to the locale's encoding into a failure.
+    src = str(Path(cli_io.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "LC_ALL": "POSIX", "PYTHONUTF8": "0"}
+    fcpd = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "fcpd"]
+    series, rules, plot = tmp_path / "series.csv", tmp_path / "rules.fcq", tmp_path / "plot"
+    series.write_bytes(_series_bytes("\ufeffdía,count\n".encode()))
+    rules.write_bytes(f"# café\n{STEP_RULES}".encode())
+    for argv in (
+        ["segment", str(series), "--th-dpu", "1", "--degree", "1", "--plot-dir", str(plot)],
+        ["query", str(series), "--rules", str(rules), "--th-dpu", "1", "--degree", "1",
+         "--plot-dir", str(plot)],
+        ["offsets", str(plot / "boundaries.dat"), str(plot / "boundaries.dat")],
+    ):
+        done = subprocess.run(fcpd + argv, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+    assert (plot / "boundaries.dat").read_text() == "12\n24\n"

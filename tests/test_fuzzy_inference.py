@@ -780,6 +780,9 @@ def test_fis_validation():
         FisConfig(inputs=(x,), output=score, rules=(Rule(Atom("x", "on"), "other", "mid"),))
     with pytest.raises(InvalidConfigError):
         FisConfig(inputs=(x,), output=score, rules=(Rule(Atom("x", "on"), "score", "absent"),))
+    reads_output = Rule(Or(Atom("x", "on"), Atom("score", "mid")), "score", "mid")
+    with pytest.raises(InvalidConfigError, match="^rule 2 reads the output variable 'score'$"):
+        FisConfig(inputs=(x,), output=score, rules=(ok_rule, reads_output))
 
 
 def test_referenced_inputs_keep_rule_order():

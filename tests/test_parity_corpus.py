@@ -24,12 +24,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import pytest
 
-from fcpd import ClosedBy, SegmentationConfig, SlopeSignMode, segment_series
+from fcpd import ClosedBy, SegmentationConfig, SegmentStream, SlopeSignMode, segment_series
 
 DIGESTS = Path(__file__).parent / "golden" / "parity.json"
 
@@ -158,6 +159,37 @@ def test_stored_digests_name_the_same_pairs():
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_segmentation_matches_its_stored_digests(name):
     assert digests(*CORPUS[name]) == stored()[name]
+
+
+# (window start, sample) where the exact degree-1 deviation of
+# counts-d1-dpu-db0-off0 equals its th_dpu of 2.  DPU closes only above the
+# threshold, so none of these samples ends a segment; a faster deviation
+# that rounds up at one of them would.
+_DPU_TIES = ((65, 71), (219, 229), (290, 295), (363, 370), (381, 388), (408, 415), (612, 624),
+             (659, 666))
+
+
+def _exact_line_deviation(window: list[float]) -> Fraction:
+    """|least-squares line at the last sample - that sample|, in rationals."""
+    ys = [Fraction(y) for y in window]
+    m = len(ys)
+    x_mean, y_mean = Fraction(m - 1, 2), sum(ys) / m
+    sxx = sum((x - x_mean) ** 2 for x in range(m))
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in enumerate(ys))
+    return abs(y_mean + sxy / sxx * (m - 1 - x_mean) - ys[-1])
+
+
+def test_dpu_ties_on_counts_do_not_close():
+    values, config = CORPUS["counts-d1-dpu-db0-off0"]
+    assert (config.degree, config.th_dpu, len(values)) == (1, 2.0, 1270)
+    segments = segment_series(values, config).segments
+    for start, end in _DPU_TIES:
+        assert _exact_line_deviation(values[start : end + 1]) == 2
+        assert any(s.start == start and s.end > end for s in segments), (start, end)
+    stream = SegmentStream(config)
+    for value in values[:625]:
+        stream.push(value)
+    assert (stream.state.start_index, stream.state.deviation) == (612, 2.0)
 
 
 if __name__ == "__main__":

@@ -356,6 +356,18 @@ def test_to_fis_rejects_ruleless_and_split_consequents():
         to_fis(doc)
 
 
+def test_to_fis_rejects_a_rule_that_reads_the_output():
+    doc = parse(
+        "var x [0, 1] { s: smf(0, 1) }\n"
+        + SCORE_VAR
+        + "IF (x is s), THEN (score is high)\n"
+        + "IF (x is s) and (score is high), THEN (score is low)\n"
+    )
+    with pytest.raises(DslValueError, match="rule 2 reads the output variable 'score'$") as info:
+        to_fis(doc)
+    assert (info.value.line, info.value.col) == (1, 1)
+
+
 def test_to_fis_requires_a_declared_output():
     doc = parse(
         "var x [0, 1] { s: smf(0, 1) }\n"

@@ -22,6 +22,7 @@ from fcpd import (
     SegmentationConfig,
     SlopeSignMode,
     TailPolicy,
+    WindowState,
     build_basis,
     evaluate,
     fit,
@@ -456,6 +457,46 @@ def test_stream_respects_start_index():
         stream.push(float(v))
     (seg,) = stream.result().segments
     assert (seg.start, seg.end) == (100, 105)
+
+
+# Acceptance criterion 5's configurations; three leave th_sss unset.
+_CRITERION_5_CONFIGS = [
+    SegmentationConfig(degree=1, th_dpu=0.5),
+    SegmentationConfig(degree=2, th_dpu=0.8, th_sss=2, sss_deadband=0.0),
+    SegmentationConfig(degree=3, th_sss=1, sss_mode=SlopeSignMode.FIRST_DIFF_SIGN,
+                       sss_deadband=0.05),
+    SegmentationConfig(degree=0, th_dpu=1.2),
+    SegmentationConfig(degree=4, th_dpu=0.6),
+]
+
+
+def _close_every_ninth(state, end):
+    return ClosedBy.DPU if end % 9 == 8 else None
+
+
+@pytest.mark.parametrize("config", _CRITERION_5_CONFIGS, ids=lambda c: f"degree{c.degree}")
+@pytest.mark.parametrize("trigger", [None, _close_every_ninth], ids=["criteria", "trigger"])
+def test_each_window_after_a_close_is_what_window_init_makes(config, trigger):
+    # The stream checks its options with its first window only; every later
+    # window must still equal a checked fresh one.
+    mode = config.sss_mode if config.th_sss is not None or trigger is not None else None
+    rng = np.random.default_rng(config.degree)
+    stream = SegmentStream(config, trigger=trigger)
+    closes = 0
+    for value in np.cumsum(rng.normal(0.0, 0.7, 300)).tolist():
+        segment = stream.push(value)
+        if segment is not None:
+            closes += 1
+            assert stream.state == window_init(segment.end + 1, config.degree, mode,
+                                               config.sss_deadband)
+    assert closes >= 5
+
+
+def test_a_window_state_given_its_first_four_fields_is_empty():
+    state = WindowState(0, 3, None, 0.0)
+    assert (state.moments, state._compensation) == ([0.0] * 4, [0.0] * 4)
+    assert (state.count, state.alpha, state.deviation) == (0, None, None)
+    assert state == window_init(0, 3, None, 0.0)
 
 
 # ---------------------------------------------------------------------------
