@@ -138,11 +138,11 @@ class SegmentStream:
         self._finished = False
         # Slope signs are only counted where something reads them.
         reads_slopes = config.th_sss is not None or trigger is not None
-        self._sss_mode = config.sss_mode if reads_slopes else None
+        sss_mode = config.sss_mode if reads_slopes else None
         # The criteria are checked on a push that finds this many samples or more.
         self._checked_from = config.effective_min_len - 1
         self._th_dpu, self._th_sss = config.th_dpu, config.th_sss
-        self._state = window_init(start_index, config.degree, self._sss_mode, config.sss_deadband)
+        self._state = window_init(start_index, config.degree, sss_mode, config.sss_deadband)
 
     @property
     def state(self) -> WindowState:
