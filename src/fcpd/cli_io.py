@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -87,16 +88,24 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _read_file(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise InvalidDataError(f"cannot read {path}: {exc}") from None
+def _read_text(source, error=InvalidDataError, label: str = "") -> str:
+    """The text of an open file or a path, past one leading byte-order mark.  Bytes
+    decode as UTF-8 with ``surrogateescape`` and universal newlines, whatever the locale."""
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        try:
+            data = Path(source).read_bytes()
+        except OSError as exc:
+            raise error(f"cannot read {label}{source}: {exc}") from None
+    if isinstance(data, bytes):
+        data = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape").read()
+    return data.removeprefix("\ufeff")
 
 
 def _lines(text: str):
-    """(line number, stripped line) of each non-blank line, past one leading byte-order mark."""
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    """(line number, stripped line) of each non-blank line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line:
             yield lineno, line
@@ -109,12 +118,7 @@ def ingest(source) -> np.ndarray:
     is treated as a header.  The t column must be strictly increasing
     integers advancing by exactly 1.  A leading byte-order mark is ignored.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif source == "-":
-        text = sys.stdin.read()
-    else:
-        text = _read_file(source)
+    text = _read_text(getattr(sys.stdin, "buffer", sys.stdin) if source == "-" else source)
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in _lines(text):
         parts = [p.strip() for p in line.split(",")]
@@ -357,13 +361,6 @@ def _run_config(args, rules_text: str) -> RunConfig:
     )
 
 
-def _read_rules(args) -> str:
-    try:
-        return Path(args.rules).read_text(encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise InvalidConfigError(f"cannot read rules file {args.rules}: {exc}") from None
-
-
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -396,7 +393,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    config = _run_config(args, rules_text=_read_rules(args))
+    config = _run_config(args, _read_text(args.rules, InvalidConfigError, "rules file "))
     series = ingest(args.input)
     result = run_query(series, config)
     degree = config.segmentation.degree
@@ -495,7 +492,7 @@ def _sensitivity_one(path: Path, config: RunConfig):
 
 
 def _cmd_sensitivity(args) -> int:
-    config = _run_config(args, rules_text=_read_rules(args))
+    config = _run_config(args, _read_text(args.rules, InvalidConfigError, "rules file "))
     root = Path(args.input)
     if root.is_dir():
         files = sorted(p for p in root.iterdir() if p.is_file())
@@ -545,7 +542,7 @@ def _cmd_generate(args) -> int:
 
 
 def _read_indices(path: str) -> list[float]:
-    return [_parse_number(line, lineno, "index") for lineno, line in _lines(_read_file(path))]
+    return [_parse_number(line, lineno, "index") for lineno, line in _lines(_read_text(path))]
 
 
 def _cmd_offsets(args) -> int:

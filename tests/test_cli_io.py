@@ -791,6 +791,17 @@ def test_cli_rules_with_a_byte_that_is_not_utf8(tmp_path, capsys):
     assert (code, out, err) == (4, "", "error: line 1, column 7: unexpected character '\\udce9'\n")
 
 
+def test_cli_rules_ignore_a_leading_byte_order_mark(tmp_path, capsys):
+    series = _write_series(tmp_path, _step_series())
+    rules = tmp_path / "rules.fcq"
+    argv = ["query", series, "--rules", str(rules), "--th-dpu", "1"]
+    rules.write_bytes(STEP_RULES.encode())
+    expected = _run(capsys, argv)
+    assert expected[0] == 0
+    rules.write_bytes(b"\xef\xbb\xbf" + STEP_RULES.encode())
+    assert _run(capsys, argv) == expected
+
+
 def test_cli_rejects_a_boundary_that_is_not_utf8(tmp_path, capsys):
     ref, cand = tmp_path / "ref.txt", tmp_path / "cand.txt"
     ref.write_bytes(b"\xff3\n")
@@ -819,3 +830,23 @@ def test_cli_file_io_does_not_depend_on_the_locale(tmp_path):
         done = subprocess.run(fcpd + argv, env=env, capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, ""), argv
     assert (plot / "boundaries.dat").read_text() == "12\n24\n"
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"\xef\xbb\xbf5.0\n1.0\n2.0\n3.0\n",
+     (0, b"index,start,end,length,closed_by,alpha_0\n0,0,3,4,END_OF_STREAM,2.75\n", b"")),
+    (b"value\n1\n2\xc3\xa9\n3\n",
+     (3, b"", b"error: line 3: value '2\\xe9' is not a number\n")),
+], ids=["byte-order mark", "UTF-8 value"])
+def test_cli_stdin_reads_as_a_path_does_under_an_ascii_locale(tmp_path, data, expected):
+    # Stdin is decoded as UTF-8, as files are, not by the locale. The ASCII
+    # stderr shows the decoded \xe9 with a backslash escape.
+    src = str(Path(cli_io.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "LC_ALL": "POSIX", "PYTHONUTF8": "0"}
+    path = tmp_path / "series.csv"
+    path.write_bytes(data)
+    argv = [sys.executable, "-m", "fcpd", "segment", "--th-dpu", "100", "--degree", "0"]
+    for source, stdin in ((str(path), None), ("-", data)):
+        done = subprocess.run(argv + [source], input=stdin, env=env, capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == expected, source
