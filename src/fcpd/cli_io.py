@@ -300,14 +300,24 @@ def _emit(
         print(note, file=sys.stderr)
 
 
+def _plot_dir(args) -> Path | None:
+    """The ``--plot-dir`` directory, made before any series is read; None without the flag."""
+    if not args.plot_dir:
+        return None
+    out = Path(args.plot_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot use --plot-dir {out}: {exc}") from None
+    return out
+
+
 def _write_plot_data(
-    plot_dir: str,
+    out: Path,
     series: np.ndarray,
     segmentation: Segmentation,
     scores: dict[int, float] | None = None,
 ) -> None:
-    out = Path(plot_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "series.dat", "w", encoding="utf-8") as fh:
         for x, y in enumerate(series):
             fh.write(f"{x} {_fmt(y)}\n")
@@ -374,6 +384,7 @@ def _resolve_seed(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    plot_dir = _plot_dir(args)
     series = _load_series(args)
     config = _segmentation_from_args(args)
     segmentation = segment_series(series, config)
@@ -387,13 +398,14 @@ def _cmd_segment(args) -> int:
         SEGMENT_COLUMNS + _alpha_header(range(config.degree + 1)),
         [_segment_row(s, config.degree) for s in segments],
     )
-    if args.plot_dir:
-        _write_plot_data(args.plot_dir, series, segmentation)
+    if plot_dir:
+        _write_plot_data(plot_dir, series, segmentation)
     return EXIT_OK
 
 
 def _cmd_query(args) -> int:
     config = _run_config(args, _read_text(args.rules, InvalidConfigError, "rules file "))
+    plot_dir = _plot_dir(args)
     series = ingest(args.input)
     result = run_query(series, config)
     degree = config.segmentation.degree
@@ -416,10 +428,10 @@ def _cmd_query(args) -> int:
             for s in result.skipped
         ],
     )
-    if args.plot_dir:
+    if plot_dir:
         series_used = normalize(series) if args.normalize else series
         _write_plot_data(
-            args.plot_dir,
+            plot_dir,
             series_used,
             result.segmentation,
             scores={s.segment.index: s.score for s in result.scored},

@@ -329,6 +329,17 @@ def test_cli_segment_plot_data(tmp_path, capsys):
     assert not (plot / "scores.dat").exists()
 
 
+@pytest.mark.parametrize("below", ["", "plots"], ids=["a file", "below a file"])
+def test_cli_rejects_a_plot_dir_it_cannot_make(tmp_path, capsys, below):
+    path = _write_series(tmp_path, _step_series())
+    plot = os.path.join(path, below) if below else path
+    rules = _write_rules(tmp_path, STEP_RULES)
+    for argv in (["segment", path], ["query", path, "--rules", rules]):
+        code, out, err = _run(capsys, argv + ["--th-dpu", "0.5", "--plot-dir", plot])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot use --plot-dir {plot}: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # CLI: query
 
