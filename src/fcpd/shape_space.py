@@ -353,7 +353,8 @@ def evaluate(shape: ShapeVector, basis: OrthoBasis, x):
     ``basis`` must match the shape vector's grid and degree.  Scalar ``x``
     returns a float, array ``x`` an array of its shape; each value takes the
     arithmetic of window_grow's fitted value, so both give the same bits.
-    Positions that are not finite numbers raise InvalidDataError.
+    A fitted sum that overflows reads NaN.  Positions that are not finite
+    numbers raise InvalidDataError.
     """
     if basis.window_len != shape.window_len or basis.degree != shape.degree:
         raise InvalidConfigError(

@@ -16,6 +16,7 @@ from fcpd import (
     Or,
     QueryDocument,
     QueryError,
+    Rule,
     UnknownReferenceError,
     parse,
     print_document,
@@ -303,6 +304,24 @@ def test_round_trip_is_structurally_stable():
         again = parse(print_document(doc))
         assert again == doc
         assert print_document(again) == print_document(doc)
+
+
+def test_print_parenthesizes_a_right_nested_or_and_and():
+    # The parser nests chains of one operator to the left; a right-nested
+    # chain comes from the API and needs its parentheses to read back.
+    variables = parse(
+        "var x [0, 1] { a: smf(0, 1)  b: smf(0, 1)  c: smf(0, 1) }\n"
+        + SCORE_VAR + "IF (x is a), THEN (score is high)\n"
+    ).variables
+    a, b, c = (Atom("x", name) for name in "abc")
+    for antecedent, text in [
+        (Or(a, Or(b, c)), "IF (x is a) or ((x is b) or (x is c)), THEN (score is high)"),
+        (And(a, And(b, c)), "IF (x is a) and ((x is b) and (x is c)), THEN (score is high)"),
+    ]:
+        doc = QueryDocument(variables, (Rule(antecedent, "score", "high"),))
+        printed = print_document(doc)
+        assert printed.splitlines()[-1] == text
+        assert parse(printed) == doc
 
 
 def test_shipped_query_files_round_trip():

@@ -453,6 +453,12 @@ def test_evaluate_scalar_and_array():
     assert arr[0] == pytest.approx(scalar)
 
 
+def test_evaluate_reads_nan_when_the_fitted_sum_overflows():
+    # At x = 2 on the grid 0..2, p_0 = p_1 = 1, so the sum is 1e308 + 1e308.
+    shape = ShapeVector([1e308, 1e308], 2, 1)
+    assert math.isnan(evaluate(shape, build_basis(2, 1), 2.0))
+
+
 def test_evaluate_rejects_mismatched_basis():
     shape = fit([1.0, 2.0, 3.0, 4.0], degree=1)
     with pytest.raises(InvalidConfigError):
