@@ -329,10 +329,10 @@ def test_cli_segment_plot_data(tmp_path, capsys):
     assert not (plot / "scores.dat").exists()
 
 
-@pytest.mark.parametrize("below", ["", "plots"], ids=["a file", "below a file"])
-def test_cli_rejects_a_plot_dir_it_cannot_make(tmp_path, capsys, below):
+@pytest.mark.parametrize("suffix", ["", "/plots"], ids=["a file", "below a file"])
+def test_cli_rejects_a_plot_dir_it_cannot_make(tmp_path, capsys, suffix):
     path = _write_series(tmp_path, _step_series())
-    plot = os.path.join(path, below) if below else path
+    plot = path + suffix
     rules = _write_rules(tmp_path, STEP_RULES)
     for argv in (["segment", path], ["query", path, "--rules", rules]):
         code, out, err = _run(capsys, argv + ["--th-dpu", "0.5", "--plot-dir", plot])
