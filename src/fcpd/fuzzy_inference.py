@@ -247,9 +247,10 @@ class FisConfig:
                 f"output variable {self.output.name!r} also declared as an input"
             )
         by_name = {v.name: v for v in self.inputs}
+        referenced: dict[str, LinguisticVariable] = {}
         for number, rule in enumerate(self.rules, start=1):
             for atom in _atoms(rule.antecedent):
-                var = by_name.get(atom.variable)
+                var = referenced.setdefault(atom.variable, by_name.get(atom.variable))
                 if atom.variable == self.output.name:
                     raise InvalidConfigError(
                         f"rule {number} reads the output variable {atom.variable!r}"
@@ -270,28 +271,25 @@ class FisConfig:
                 raise InvalidConfigError(
                     f"output variable has no set {rule.consequent_set!r}"
                 )
+        object.__setattr__(self, "_referenced", tuple(referenced.values()))  # first-read order
 
     def input_variables_referenced(self) -> tuple[str, ...]:
         """Names of input variables appearing in any rule antecedent, in rule order."""
-        seen: dict[str, None] = {}
-        for rule in self.rules:
-            for atom in _atoms(rule.antecedent):
-                seen.setdefault(atom.variable, None)
-        return tuple(seen)
+        return tuple(v.name for v in self._referenced)
 
     @cached_property
-    def _compiled(self) -> tuple[dict[str, LinguisticVariable], np.ndarray, np.ndarray]:
-        """What infer reuses on every record: the input variables by name,
-        the output grid, and each rule's consequent set over that grid (one
-        read-only row per rule; each distinct set is evaluated once).  Built
-        on first use; the fields never change.
+    def _compiled(self) -> tuple[tuple[LinguisticVariable, ...], np.ndarray, np.ndarray]:
+        """What infer reuses on every record: the input variables the rules
+        read, in rule order, the output grid, and each rule's consequent set
+        over that grid (one read-only row per rule; each distinct set is
+        evaluated once).  Built on first use; the fields never change.
         """
         grid = np.linspace(self.output.lo, self.output.hi, self.resolution)
         names = dict.fromkeys(r.consequent_set for r in self.rules)
         over_grid = {name: mf_eval(self.output.sets[name], grid) for name in names}
         sets = np.array([over_grid[r.consequent_set] for r in self.rules])
         grid.flags.writeable = sets.flags.writeable = False
-        return {v.name: v for v in self.inputs}, grid, sets
+        return self._referenced, grid, sets
 
 
 @dataclass(frozen=True)
@@ -307,38 +305,40 @@ class InferenceResult:
     firing_strengths: tuple[float, ...] = field(default=())
 
 
-def _eval_expr(expr: Expr, variables: Mapping[str, LinguisticVariable], values) -> float:
+def _input_value(var: LinguisticVariable, values) -> float:
+    """The finite value ``values`` holds for ``var``, clamped to its domain."""
+    try:
+        x = float(values.get(var.name))
+    except (TypeError, ValueError, OverflowError):  # None, text, a list, an int past 1e308
+        x = math.nan
+    if not math.isfinite(x):
+        raise MissingFeatureError(f"no finite value for input variable {var.name!r}")
+    # float(): the clamp may return an int domain bound, and past 2^53 an
+    # int compares with the set's float parameters unlike its float.
+    return float(min(max(x, var.lo), var.hi))
+
+
+def _eval_expr(expr: Expr, inputs: Mapping[str, tuple[LinguisticVariable, float]]) -> float:
     if isinstance(expr, Atom):
-        var = variables[expr.variable]
-        try:
-            x = float(values.get(expr.variable))
-        except (TypeError, ValueError, OverflowError):  # None, text, a list, an int past 1e308
-            x = math.nan
-        if not math.isfinite(x):
-            raise MissingFeatureError(
-                f"no finite value for input variable {expr.variable!r}"
-            )
-        # float(): the clamp may return an int domain bound, and past 2^53 an
-        # int compares with the set's float parameters unlike its float.
-        degree = _mf_scalar(var.sets[expr.fuzzy_set], float(min(max(x, var.lo), var.hi)))
+        var, x = inputs[expr.variable]
+        degree = _mf_scalar(var.sets[expr.fuzzy_set], x)
         return 1.0 - degree if expr.negated else degree
     if isinstance(expr, And):
-        return min(_eval_expr(expr.left, variables, values), _eval_expr(expr.right, variables, values))
+        return min(_eval_expr(expr.left, inputs), _eval_expr(expr.right, inputs))
     if isinstance(expr, Or):
-        return max(_eval_expr(expr.left, variables, values), _eval_expr(expr.right, variables, values))
+        return max(_eval_expr(expr.left, inputs), _eval_expr(expr.right, inputs))
     raise InvalidConfigError(f"unknown antecedent node {expr!r}")
 
 
 def infer(fis: FisConfig, values: Mapping[str, float]) -> InferenceResult:
     """Run the five Mamdani stages for one record of input values.
 
-    Input values are clamped to their variable domains.  Raises
-    MissingFeatureError when a referenced input has no finite value.
+    Each input the rules read is checked and clamped to its domain once.  Raises
+    MissingFeatureError for the first one, in rule order, with no finite value.
     """
-    variables, grid, consequents = fis._compiled
-    strengths = [
-        rule.weight * _eval_expr(rule.antecedent, variables, values) for rule in fis.rules
-    ]
+    referenced, grid, consequents = fis._compiled
+    inputs = {var.name: (var, _input_value(var, values)) for var in referenced}
+    strengths = [rule.weight * _eval_expr(rule.antecedent, inputs) for rule in fis.rules]
     aggregate = np.zeros_like(grid)
     for strength, consequent in zip(strengths, consequents):
         if strength == 0.0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -735,6 +736,60 @@ def test_output_grids_are_read_only_and_built_once(monkeypatch):
     distinct = {rule.consequent_set for rule in fis.rules}
     assert len(distinct) < len(fis.rules)
     assert sorted(array_calls, key=repr) == sorted((fis.output.sets[s] for s in distinct), key=repr)
+
+
+class _CountingRecord(Mapping):
+    """A record that counts the calls of its ``get``."""
+
+    def __init__(self, values):
+        self._values = dict(values)
+        self.gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return self._values.get(key, default)
+
+    def __getitem__(self, key):
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+def test_infer_reads_each_referenced_input_once_per_record():
+    fis = _rule_file_systems()["graded_variation.fcq"]
+    assert fis.input_variables_referenced() == ("var_average", "var_slope")
+    rng = random.Random(7)
+    records = _domain_records(rng, fis.inputs, 20)
+    for values in records:
+        counting = _CountingRecord(values)
+        assert infer(fis, counting) == infer(fis, values)
+        # Two inputs, read by 18 atoms: one read each.
+        assert counting.gets == 2
+
+
+def test_a_record_missing_two_inputs_names_the_one_the_rules_read_first():
+    a = LinguisticVariable("a", 0.0, 1.0, {"s": s_shape(0.0, 1.0)})
+    b = LinguisticVariable("b", 0.0, 1.0, {"s": s_shape(0.0, 1.0)})
+    c = LinguisticVariable("c", 0.0, 1.0, {"s": s_shape(0.0, 1.0)})
+    fis = FisConfig(
+        inputs=(a, b, c),
+        output=_score_var(),
+        rules=(
+            Rule(Atom("c", "s"), "score", "mid"),
+            Rule(Or(Atom("b", "s"), Atom("a", "s")), "score", "mid"),
+        ),
+    )
+    with pytest.raises(MissingFeatureError, match="'c'"):
+        infer(fis, {})
+    for record in ({"c": 0.5}, {"c": 0.5, "a": float("nan")}):
+        with pytest.raises(MissingFeatureError, match="^no finite value for input variable 'b'$"):
+            infer(fis, record)
+    with pytest.raises(MissingFeatureError, match="'a'"):
+        infer(fis, {"c": 0.5, "b": 0.5, "a": "text"})
 
 
 # ---------------------------------------------------------------------------
