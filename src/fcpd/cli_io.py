@@ -118,7 +118,11 @@ def ingest(source) -> np.ndarray:
     is treated as a header.  The t column must be strictly increasing
     integers advancing by exactly 1.  A leading byte-order mark is ignored.
     """
-    text = _read_text(getattr(sys.stdin, "buffer", sys.stdin) if source == "-" else source)
+    if source == "-":
+        if sys.stdin is None:  # the process was started with its standard input closed
+            raise InvalidDataError("cannot read stdin: it is closed")
+        source = getattr(sys.stdin, "buffer", sys.stdin)
+    text = _read_text(source)
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in _lines(text):
         parts = [p.strip() for p in line.split(",")]
@@ -312,30 +316,37 @@ def _plot_dir(args) -> Path | None:
     return out
 
 
+def _write_plot_file(path: Path, lines) -> None:
+    """Write one plot data file as UTF-8; one that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot write {path}: {exc}") from None
+
+
+def _fit_lines(segmentation: Segmentation):
+    for segment in segmentation.segments:
+        if segment.alpha is None:
+            continue
+        basis = build_basis(segment.alpha.window_len, segment.alpha.degree)
+        fitted = evaluate(segment.alpha, basis, np.arange(segment.length))
+        for x, y in enumerate(fitted, start=segment.start):
+            yield f"{x} {_fmt(y)}\n"
+
+
 def _write_plot_data(
     out: Path,
     series: np.ndarray,
     segmentation: Segmentation,
     scores: dict[int, float] | None = None,
 ) -> None:
-    with open(out / "series.dat", "w", encoding="utf-8") as fh:
-        for x, y in enumerate(series):
-            fh.write(f"{x} {_fmt(y)}\n")
-    with open(out / "boundaries.dat", "w", encoding="utf-8") as fh:
-        for cp in segmentation.change_points:
-            fh.write(f"{cp}\n")
-    with open(out / "fit.dat", "w", encoding="utf-8") as fh:
-        for segment in segmentation.segments:
-            if segment.alpha is None:
-                continue
-            basis = build_basis(segment.alpha.window_len, segment.alpha.degree)
-            fitted = evaluate(segment.alpha, basis, np.arange(segment.length))
-            for x, y in enumerate(fitted, start=segment.start):
-                fh.write(f"{x} {_fmt(y)}\n")
+    """The ``--plot-dir`` files, written before any table so a failure leaves stdout empty."""
+    _write_plot_file(out / "series.dat", (f"{x} {_fmt(y)}\n" for x, y in enumerate(series)))
+    _write_plot_file(out / "boundaries.dat", (f"{cp}\n" for cp in segmentation.change_points))
+    _write_plot_file(out / "fit.dat", _fit_lines(segmentation))
     if scores is not None:
-        with open(out / "scores.dat", "w", encoding="utf-8") as fh:
-            for index in sorted(scores):
-                fh.write(f"{index} {_fmt(scores[index])}\n")
+        _write_plot_file(out / "scores.dat", (f"{i} {_fmt(scores[i])}\n" for i in sorted(scores)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +399,8 @@ def _cmd_segment(args) -> int:
     series = _load_series(args)
     config = _segmentation_from_args(args)
     segmentation = segment_series(series, config)
+    if plot_dir:
+        _write_plot_data(plot_dir, series, segmentation)
     segments = [_segment_json(s) for s in segmentation.segments]
     _emit(
         args.format,
@@ -398,8 +411,6 @@ def _cmd_segment(args) -> int:
         SEGMENT_COLUMNS + _alpha_header(range(config.degree + 1)),
         [_segment_row(s, config.degree) for s in segments],
     )
-    if plot_dir:
-        _write_plot_data(plot_dir, series, segmentation)
     return EXIT_OK
 
 
@@ -408,6 +419,13 @@ def _cmd_query(args) -> int:
     plot_dir = _plot_dir(args)
     series = ingest(args.input)
     result = run_query(series, config)
+    if plot_dir:
+        _write_plot_data(
+            plot_dir,
+            normalize(series) if args.normalize else series,
+            result.segmentation,
+            scores={s.segment.index: s.score for s in result.scored},
+        )
     degree = config.segmentation.degree
     segments = [
         {**_segment_json(s.segment), "score": s.score, "degenerate": s.degenerate}
@@ -428,14 +446,6 @@ def _cmd_query(args) -> int:
             for s in result.skipped
         ],
     )
-    if plot_dir:
-        series_used = normalize(series) if args.normalize else series
-        _write_plot_data(
-            plot_dir,
-            series_used,
-            result.segmentation,
-            scores={s.segment.index: s.score for s in result.scored},
-        )
     return EXIT_OK
 
 

@@ -311,6 +311,16 @@ def test_cli_segment_reads_stdin(tmp_path, capsys, monkeypatch):
     assert out.startswith("index,")
 
 
+def test_cli_reports_a_closed_stdin(capsys, monkeypatch):
+    # A process started with its standard input closed has sys.stdin None.
+    monkeypatch.setattr("sys.stdin", None)
+    with pytest.raises(InvalidDataError, match="^cannot read stdin"):
+        ingest("-")
+    code, out, err = _run(capsys, ["segment", "-", "--th-dpu", "1"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read stdin") and err.count("\n") == 1
+
+
 def test_cli_segment_plot_data(tmp_path, capsys):
     path = _write_series(tmp_path, _step_series())
     plot = tmp_path / "plot"
@@ -338,6 +348,23 @@ def test_cli_rejects_a_plot_dir_it_cannot_make(tmp_path, capsys, suffix):
         code, out, err = _run(capsys, argv + ["--th-dpu", "0.5", "--plot-dir", plot])
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: cannot use --plot-dir {plot}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["series.dat", "boundaries.dat", "fit.dat", "scores.dat"])
+def test_cli_reports_a_plot_file_it_cannot_write(tmp_path, capsys, name):
+    # The plot files are written before the table, so a file that cannot be
+    # written (here its name is taken by a directory) leaves stdout empty.
+    path = _write_series(tmp_path, _step_series())
+    rules = _write_rules(tmp_path, STEP_RULES)
+    plot = tmp_path / "plot"
+    (plot / name).mkdir(parents=True)
+    commands = [["query", path, "--rules", rules]]
+    if name != "scores.dat":  # segment writes no scores
+        commands.append(["segment", path])
+    for argv in commands:
+        code, out, err = _run(capsys, argv + ["--th-dpu", "0.5", "--plot-dir", str(plot)])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot write {plot / name}: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
