@@ -161,6 +161,8 @@ class _Parser:
         self.options: dict[str, float | str] = {}
         # (variable token, set token) of every reference, checked at the end
         self.refs: list[tuple[_Token, _Token]] = []
+        # (rule number, variable token) of every antecedent atom
+        self.reads: list[tuple[int, _Token]] = []
 
     def _peek(self, offset: int = 0) -> _Token:
         idx = min(self._pos + offset, len(self._tokens) - 1)
@@ -328,6 +330,7 @@ class _Parser:
             set_tok = self._expect("ident", what="a set name")
             self._expect("punct", ")")
             self.refs.append((var_tok, set_tok))
+            self.reads.append((len(self.rules) + 1, var_tok))
             return Atom(variable=var_tok.text, fuzzy_set=set_tok.text, negated=negated)
         expr = self._parse_or()
         self._expect("punct", ")")
@@ -386,6 +389,15 @@ class _Parser:
                     set_tok.line,
                     set_tok.col,
                 )
+        outputs = {rule.consequent_var for rule in self.rules}
+        if len(outputs) == 1:  # with more, to_fis reports the multiple variables
+            for number, var_tok in self.reads:
+                if var_tok.text in outputs:
+                    raise DslValueError(
+                        f"rule {number} reads the output variable {var_tok.text!r}",
+                        var_tok.line,
+                        var_tok.col,
+                    )
 
 
 def parse(text: str) -> QueryDocument:

@@ -35,19 +35,25 @@ ABC_VARS = (
 
 
 def test_parses_a_minimal_document():
-    doc = parse(SCORE_VAR + "IF (score is low), THEN (score is high)\n")
-    assert [v.name for v in doc.variables] == ["score"]
-    assert list(doc.variables[0].sets) == ["low", "high"]
+    doc = parse(
+        "var x [0, 1] { s: smf(0, 1) }\n" + SCORE_VAR + "IF (x is s), THEN (score is high)\n"
+    )
+    assert [v.name for v in doc.variables] == ["x", "score"]
+    assert list(doc.variables[1].sets) == ["low", "high"]
     (rule,) = doc.rules
-    assert rule.antecedent == Atom("score", "low")
+    assert rule.antecedent == Atom("x", "s")
     assert (rule.consequent_var, rule.consequent_set, rule.weight) == ("score", "high", 1.0)
     assert doc.options == {}
 
 
 def test_negation_and_weight():
-    doc = parse(SCORE_VAR + "IF (score is not low), THEN (score is high) weight 0.9\n")
+    doc = parse(
+        "var x [0, 1] { s: smf(0, 1) }\n"
+        + SCORE_VAR
+        + "IF (x is not s), THEN (score is high) weight 0.9\n"
+    )
     (rule,) = doc.rules
-    assert rule.antecedent == Atom("score", "low", negated=True)
+    assert rule.antecedent == Atom("x", "s", negated=True)
     assert rule.weight == 0.9
 
 
@@ -65,10 +71,11 @@ def test_parentheses_override_precedence():
 
 def test_keywords_are_case_insensitive_but_names_are_not():
     doc = parse(
+        "VAR x [0, 1] { s: SMF(0, 1) }\n"
         "VAR score [0, 1] { low: TRI(-0.4, 0, 0.4) }\n"
-        "if (score IS NOT low), Then (score is low) WEIGHT 0.5\n"
+        "if (x IS NOT s), Then (score is low) WEIGHT 0.5\n"
     )
-    assert doc.rules[0].antecedent == Atom("score", "low", negated=True)
+    assert doc.rules[0].antecedent == Atom("x", "s", negated=True)
     with pytest.raises(UnknownReferenceError):
         parse(SCORE_VAR + "IF (Score is low), THEN (score is high)\n")
 
@@ -76,8 +83,9 @@ def test_keywords_are_case_insensitive_but_names_are_not():
 def test_comments_and_blank_lines_are_ignored():
     doc = parse(
         "# a header comment\n\n"
+        + "var x [0, 1] { s: smf(0, 1) }\n"
         + SCORE_VAR
-        + "\n# rules\nIF (score is low), THEN (score is high)  # trailing\n\n"
+        + "\n# rules\nIF (x is s), THEN (score is high)  # trailing\n\n"
     )
     assert len(doc.rules) == 1
 
@@ -292,7 +300,7 @@ def test_print_produces_the_canonical_form():
 
 def test_round_trip_is_structurally_stable():
     samples = [
-        SCORE_VAR + "IF (score is low), THEN (score is high)\n",
+        "var x [0, 1] { s: smf(0, 1) }\n" + SCORE_VAR + "IF (x is s), THEN (score is high)\n",
         ABC_VARS + "IF ((a is s) or (b is s)) and (c is not s), "
         "THEN (score is low) weight 0.35\n",
         ABC_VARS
@@ -351,9 +359,6 @@ def test_to_fis_splits_inputs_from_the_output():
 
 
 def test_to_fis_defaults_the_resolution():
-    doc = parse(SCORE_VAR + "IF (score is low), THEN (score is high)\n")
-    # A self-referential document has no separate inputs; build a two-variable
-    # one instead to reach the assembly step.
     doc = parse(
         "var x [0, 1] { s: smf(0, 1) }\n"
         + SCORE_VAR
@@ -375,13 +380,26 @@ def test_to_fis_rejects_ruleless_and_split_consequents():
         to_fis(doc)
 
 
-def test_to_fis_rejects_a_rule_that_reads_the_output():
-    doc = parse(
+def test_parse_reports_a_rule_that_reads_the_output_at_the_atom():
+    text = (
         "var x [0, 1] { s: smf(0, 1) }\n"
         + SCORE_VAR
         + "IF (x is s), THEN (score is high)\n"
         + "IF (x is s) and (score is high), THEN (score is low)\n"
+        + "IF (score is low), THEN (score is high)\n"
     )
+    with pytest.raises(DslValueError) as info:
+        parse(text)
+    assert str(info.value) == "line 4, column 18: rule 2 reads the output variable 'score'"
+
+
+def test_to_fis_rejects_a_rule_that_reads_the_output():
+    # parse reports this rule at its atom; a document built in Python has no positions.
+    doc = parse(
+        "var x [0, 1] { s: smf(0, 1) }\n" + SCORE_VAR + "IF (x is s), THEN (score is high)\n"
+    )
+    reads_output = Rule(And(Atom("x", "s"), Atom("score", "high")), "score", "low")
+    doc = QueryDocument(doc.variables, doc.rules + (reads_output,), doc.options)
     with pytest.raises(DslValueError, match="rule 2 reads the output variable 'score'$") as info:
         to_fis(doc)
     assert (info.value.line, info.value.col) == (1, 1)
