@@ -80,14 +80,6 @@ def _parse_number(text: str, lineno: int, what: str) -> float:
     return value
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _read_text(source, error=InvalidDataError, label: str = "") -> str:
     """The text of an open file or a path, past one leading byte-order mark.  Bytes
     decode as UTF-8 with ``surrogateescape`` and universal newlines, whatever the locale."""
@@ -122,25 +114,22 @@ def ingest(source) -> np.ndarray:
         if sys.stdin is None:  # the process was started with its standard input closed
             raise InvalidDataError("cannot read stdin: it is closed")
         source = getattr(sys.stdin, "buffer", sys.stdin)
-    text = _read_text(source)
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in _lines(text):
+    values: list[float] = []
+    width = t_previous = None  # width: None before the first line, 0 after a header
+    for lineno, line in _lines(_read_text(source)):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) > 2:
             raise InvalidDataError(f"line {lineno}: expected 1 or 2 columns, got {len(parts)}")
-        rows.append((lineno, parts))
-    if rows and not all(_is_number(field_text) for field_text in rows[0][1]):
-        rows = rows[1:]
-    if not rows:
-        raise InvalidDataError("no data rows found")
-    width = len(rows[0][1])
-    values = []
-    t_previous: int | None = None
-    for lineno, parts in rows:
-        if len(parts) != width:
-            raise InvalidDataError(
-                f"line {lineno}: expected {width} columns, got {len(parts)}"
-            )
+        if width is None:  # the first line is a header when one of its fields is not a number
+            try:
+                list(map(float, parts))
+            except ValueError:
+                width = 0
+                continue
+        if not width:
+            width = len(parts)
+        elif len(parts) != width:
+            raise InvalidDataError(f"line {lineno}: expected {width} columns, got {len(parts)}")
         if width == 2:
             t = _parse_number(parts[0], lineno, "index")
             if not t.is_integer():
@@ -151,7 +140,9 @@ def ingest(source) -> np.ndarray:
                 )
             t_previous = int(t)
         values.append(_parse_number(parts[-1], lineno, "value"))
-    return validate_series(values)
+    if not values:
+        raise InvalidDataError("no data rows found")
+    return np.array(values)
 
 
 def normalize(series) -> np.ndarray:

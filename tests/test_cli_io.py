@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,30 @@ def test_ingest_rejects_malformed_input(text, message):
     with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
         ingest(io.StringIO(text))
 
+
+
+def test_ingest_reports_the_first_faulty_line_in_file_order():
+    with pytest.raises(InvalidDataError, match=r"^line 2: value 'foo' is not a number$"):
+        ingest(io.StringIO("1\nfoo\n1,2,3\n"))
+
+
+def test_ingest_takes_the_width_from_the_first_data_row_not_the_header():
+    assert ingest(io.StringIO("value\n0,1\n1,2\n")).tolist() == [1.0, 2.0]
+
+
+def test_ingest_keeps_only_the_values(tmp_path):
+    # About 2 MB of text; a list of fields per line once took the peak past 65 MB.
+    path = tmp_path / "long.csv"
+    path.write_text("day,count\n" + "".join(f"{i},{i % 1000}\n" for i in range(200_000)))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        values = ingest(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.size == 200_000
+    assert peak < 35e6, f"ingest peaked at {peak / 1e6:.1f} MB"
 
 def test_ingest_missing_file():
     with pytest.raises(InvalidDataError, match="cannot read"):
@@ -409,6 +434,7 @@ def test_cli_query_empty_result_still_succeeds(tmp_path, capsys):
     assert len(out.splitlines()) == 1  # header only
     assert "skipped segment 0" in err
     assert "var_alpha_0_1" in err
+
 
 
 def test_cli_query_scores_sets_whose_span_overflows(tmp_path, capsys):
