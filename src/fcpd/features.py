@@ -8,8 +8,8 @@ segment delay d:
 
 attached to segment t.  A feature value of None means MISSING: the segment is
 among the first d, the variation denominator is within ``epsilon`` of zero,
-or the segment carries no coefficient vector (an end-of-stream tail shorter
-than degree + 1).
+the variation overflows, or the segment carries no coefficient vector (an
+end-of-stream tail shorter than degree + 1).
 
 Canonical feature names are ``alpha_k``, ``var_alpha_{k}_{d}``, ``size`` and
 ``var_size_{d}``.  Friendly aliases used by rule files (average, slope,
@@ -19,6 +19,7 @@ canonical names via resolve_feature_name().
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import InvalidDataError, MissingFeatureError, check_int, check_real
@@ -42,11 +43,13 @@ _CANONICAL_RE = re.compile(r"^(?:alpha_(\d+)|var_alpha_(\d+)_(\d+)|size|var_size
 
 def _variations(values: list[float | None], d: int, epsilon: float) -> list[float | None]:
     # Attached to the later segment; the first d have no base.
-    changes = [
+    changes = (
         None if now is None or base is None or abs(base) < epsilon else (now - base) / base
         for base, now in zip(values, values[d:])
+    )
+    return [None] * min(d, len(values)) + [
+        None if change is None or not math.isfinite(change) else change for change in changes
     ]
-    return [None] * min(d, len(values)) + changes
 
 
 def build_records(segments, d: int = 1, epsilon: float = 1e-9) -> list[dict[str, float | None]]:
