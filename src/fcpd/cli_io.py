@@ -546,6 +546,12 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_generate(args) -> int:
     anomalies = () if args.no_anomalies else DEFAULT_ANOMALIES
+    shortest = max(anomaly.end for anomaly in DEFAULT_ANOMALIES) + 1
+    if anomalies and 1 <= args.length < shortest:
+        raise InvalidConfigError(
+            f"--length {args.length} is too short for the default anomaly intervals:"
+            f" give --length {shortest} or more, or --no-anomalies"
+        )
     series = generate_cycle(
         n=args.length, period=args.period, seed=_resolve_seed(args), anomalies=anomalies
     )

@@ -437,6 +437,26 @@ def test_cli_query_empty_result_still_succeeds(tmp_path, capsys):
 
 
 
+def test_cli_query_skips_a_variation_that_overflows(tmp_path, capsys):
+    # Segment 1's mean over segment 0's, about 1e301 / 1.8e-9, overflows: the
+    # variation is MISSING, as over a base within epsilon of zero.
+    series_path = _write_series(tmp_path, [0.0] * 10 + [2e-8] + [1e301] * 10 + [0.0] * 5)
+    rules_path = _write_rules(tmp_path, (
+        "var var_average [-2, 2] { up: smf(0, 1) }\n"
+        "var score [0, 1] { high: tri(0.5, 1, 1.5) }\n"
+        "IF (var_average is up), THEN (score is high)\n"
+    ))
+    code, out, err = _run(
+        capsys,
+        ["query", series_path, "--rules", rules_path, "--degree", "0", "--th-dpu", "1e-12",
+         "--min-segment-len", "2"],
+    )
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["2", "3"]
+    assert err == (
+        "skipped segment 0: missing var_alpha_0_1\nskipped segment 1: missing var_alpha_0_1\n"
+    )
+
 def test_cli_query_scores_sets_whose_span_overflows(tmp_path, capsys):
     # Both input sets span more than the float range; their degrees once
     # read 0 everywhere, and every score was the degenerate 0.5.
@@ -694,6 +714,16 @@ def test_cli_generate_default_anomalies_need_room(capsys):
     code, _, err = _run(capsys, ["generate", "--length", "400"])
     assert code == 2
     assert "anomaly" in err
+
+
+def test_cli_generate_names_the_length_the_default_anomalies_need(capsys):
+    for length in ("300", "1600"):
+        code, out, err = _run(capsys, ["generate", "--length", length])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --length {length} is too short for the default anomaly intervals:"
+            " give --length 1601 or more, or --no-anomalies\n"
+        )
 
 
 def test_cli_generate_seed_flag_and_env(capsys, monkeypatch):
