@@ -546,8 +546,8 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_generate(args) -> int:
     anomalies = () if args.no_anomalies else DEFAULT_ANOMALIES
-    shortest = max(anomaly.end for anomaly in DEFAULT_ANOMALIES) + 1
-    if anomalies and 1 <= args.length < shortest:
+    shortest = max((anomaly.end for anomaly in anomalies), default=0) + 1
+    if 1 <= args.length < shortest:
         raise InvalidConfigError(
             f"--length {args.length} is too short for the default anomaly intervals:"
             f" give --length {shortest} or more, or --no-anomalies"

@@ -152,7 +152,6 @@ def test_ingest_rejects_malformed_input(text, message):
         ingest(io.StringIO(text))
 
 
-
 def test_ingest_reports_the_first_faulty_line_in_file_order():
     with pytest.raises(InvalidDataError, match=r"^line 2: value 'foo' is not a number$"):
         ingest(io.StringIO("1\nfoo\n1,2,3\n"))
@@ -163,7 +162,8 @@ def test_ingest_takes_the_width_from_the_first_data_row_not_the_header():
 
 
 def test_ingest_keeps_only_the_values(tmp_path):
-    # About 2 MB of text; a list of fields per line once took the peak past 65 MB.
+    # About 2 MB of text.  The text and its lines peak near 20 MB; a list of
+    # fields held per line would take the peak past 65 MB.
     path = tmp_path / "long.csv"
     path.write_text("day,count\n" + "".join(f"{i},{i % 1000}\n" for i in range(200_000)))
     tracemalloc.start()
@@ -175,6 +175,7 @@ def test_ingest_keeps_only_the_values(tmp_path):
         tracemalloc.stop()
     assert values.size == 200_000
     assert peak < 35e6, f"ingest peaked at {peak / 1e6:.1f} MB"
+
 
 def test_ingest_missing_file():
     with pytest.raises(InvalidDataError, match="cannot read"):
@@ -436,7 +437,6 @@ def test_cli_query_empty_result_still_succeeds(tmp_path, capsys):
     assert "var_alpha_0_1" in err
 
 
-
 def test_cli_query_skips_a_variation_that_overflows(tmp_path, capsys):
     # Segment 1's mean over segment 0's, about 1e301 / 1.8e-9, overflows: the
     # variation is MISSING, as over a base within epsilon of zero.
@@ -456,6 +456,7 @@ def test_cli_query_skips_a_variation_that_overflows(tmp_path, capsys):
     assert err == (
         "skipped segment 0: missing var_alpha_0_1\nskipped segment 1: missing var_alpha_0_1\n"
     )
+
 
 def test_cli_query_scores_sets_whose_span_overflows(tmp_path, capsys):
     # Both input sets span more than the float range; their degrees once

@@ -95,12 +95,12 @@ def test_near_zero_base_is_missing():
     assert _column(fine, "var_alpha_0_1", epsilon=1e-4)[1] == pytest.approx(4.0)
 
 
-
 def test_a_variation_that_overflows_is_missing():
     # 1e301 over a base of 1e-8 overflows to inf; the last difference
     # overflows before its division.
     segs = _constant_segments([1e-8, 1e301, 1e301, -1e308, 1.7e308], length=1, degree=0)
     assert _column(segs, "var_alpha_0_1") == [None, None, 0.0, (-1e308 - 1e301) / 1e301, None]
+
 
 def test_first_d_segments_are_missing():
     segs = _constant_segments([1.0, 2.0, 4.0, 8.0])
