@@ -16,6 +16,11 @@ from .segmentation import Segmentation
 # ---------------------------------------------------------------------------
 # k-means over segment coefficients
 
+# The Lloyd steps one k-means restart may take before it stops unconverged.
+_MAX_ITER = 300
+# The coefficient orders that segments are clustered by: slope and curvature.
+CLUSTER_PAIR = (1, 2)
+
 
 @dataclass(frozen=True)
 class ClusterResult:
@@ -51,12 +56,12 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 
 def _lloyd(
-    points: np.ndarray, centers: np.ndarray, max_iter: int
+    points: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     k = centers.shape[0]
     labels = np.full(points.shape[0], -1)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         distances = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(distances, axis=1)
         for c in range(k):
@@ -76,11 +81,11 @@ def _lloyd(
 
 
 def kmeans_points(
-    points, k: int, seed: int, n_init: int = 10, max_iter: int = 300
+    points, k: int, seed: int, n_init: int = 10
 ) -> tuple[np.ndarray, np.ndarray, float, tuple[float, ...]]:
     """Seeded k-means++ / Lloyd on raw points; deterministic for a fixed seed.
 
-    Convergence is assignment stabilization (or max_iter).  The best of
+    Convergence is assignment stabilization (or _MAX_ITER steps).  The best of
     n_init restarts by within-cluster sum of squares wins.
     """
     pts = as_floats("point array", points)
@@ -93,14 +98,13 @@ def kmeans_points(
     if k > pts.shape[0]:
         raise InvalidConfigError(f"k={k} exceeds the {pts.shape[0]} available points")
     check_int("n_init", n_init, 1)
-    check_int("max_iter", max_iter, 1)
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
     try:
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(n_init):
                 centers = _kmeans_plus_plus(pts, k, rng)
-                labels, centers, inertia, history = _lloyd(pts, centers.copy(), max_iter)
+                labels, centers, inertia, history = _lloyd(pts, centers.copy())
                 if best is None or inertia < best[2]:
                     best = (labels, centers, inertia, history)
     except FloatingPointError:
@@ -109,29 +113,20 @@ def kmeans_points(
     return labels, centers, inertia, tuple(history)
 
 
-def kmeans_segments(
-    segments,
-    k: int,
-    seed: int,
-    feature_pair: tuple[int, int] = (1, 2),
-    n_init: int = 10,
-) -> ClusterResult:
-    """Cluster segments by a pair of fitted coefficients (default slope/curvature)."""
+def kmeans_segments(segments, k: int, seed: int) -> ClusterResult:
+    """Cluster segments by their CLUSTER_PAIR coefficients, slope and curvature."""
     segs = segments.segments if isinstance(segments, Segmentation) else tuple(segments)
-    a, b = feature_pair
-    for order in (a, b):
-        check_int("feature_pair entry", order, 0)
     usable = [s for s in segs if s.alpha is not None]
     excluded = tuple(s.index for s in segs if s.alpha is None)
     if not usable:
         raise InvalidDataError("no segment carries a coefficient vector")
     degree = min(s.alpha.degree for s in usable)
-    if max(a, b) > degree:
+    if max(CLUSTER_PAIR) > degree:
         raise InvalidConfigError(
-            f"feature_pair {feature_pair} needs degree >= {max(a, b)}, fit degree is {degree}"
+            f"clustering needs fit degree >= {max(CLUSTER_PAIR)}, fit degree is {degree}"
         )
-    points = np.array([[s.alpha.alpha[a], s.alpha.alpha[b]] for s in usable])
-    labels, centers, inertia, history = kmeans_points(points, k, seed, n_init=n_init)
+    points = np.array([[s.alpha.alpha[order] for order in CLUSTER_PAIR] for s in usable])
+    labels, centers, inertia, history = kmeans_points(points, k, seed)
     representatives = []
     for c in range(k):
         members = np.flatnonzero(labels == c)
@@ -151,10 +146,13 @@ def kmeans_segments(
 # ---------------------------------------------------------------------------
 # Sensitivity bounds
 
+# How many of the best and of the worst scores each bound averages.
+_TOP_N = 3
+
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Mean of the best / worst scores (up to 3 each) plus the counts used."""
+    """Mean of the best / worst scores (up to _TOP_N each) plus the counts used."""
 
     mean_upper: float
     mean_lower: float
@@ -163,10 +161,10 @@ class SensitivityReport:
     segment_count: int
 
 
-def sensitivity_bounds(scores, top_n: int = 3, segment_count: int | None = None) -> SensitivityReport:
-    """Upper/lower score bounds: means of the best and worst top_n scores.
+def sensitivity_bounds(scores, segment_count: int | None = None) -> SensitivityReport:
+    """Upper/lower score bounds: means of the best and worst _TOP_N scores.
 
-    With fewer than top_n scores, whatever exists is averaged and the counts
+    With fewer than _TOP_N scores, whatever exists is averaged and the counts
     say so.  segment_count, at least the number of scores, defaults to it.
     """
     arr = as_floats("score list", scores)
@@ -177,13 +175,12 @@ def sensitivity_bounds(scores, top_n: int = 3, segment_count: int | None = None)
         raise InvalidDataError("sensitivity_bounds needs at least one score")
     if any(not math.isfinite(v) for v in values):
         raise InvalidDataError("scores must be finite")
-    check_int("top_n", top_n, 1)
     if segment_count is not None:
         # Scores come from segments, so there are at least as many segments.
         check_int("segment_count", segment_count, len(values))
     ordered = sorted(values, reverse=True)
-    upper = ordered[:top_n]
-    lower = ordered[-top_n:]
+    upper = ordered[:_TOP_N]
+    lower = ordered[-_TOP_N:]
     return SensitivityReport(
         mean_upper=_mean(upper),
         mean_lower=_mean(lower),

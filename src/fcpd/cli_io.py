@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis_toolkit import (
+    CLUSTER_PAIR,
     DEFAULT_ANOMALIES,
     aggregate_sensitivity,
     change_point_offsets,
@@ -61,10 +61,6 @@ _EXIT_CODES = {
     QueryError: EXIT_RULES,
     MissingFeatureError: EXIT_RULES,
 }
-
-# The coefficient orders that fcpd cluster groups segments by: slope and curvature.
-_CLUSTER_PAIR = (1, 2)
-
 
 # ---------------------------------------------------------------------------
 # Ingestion and normalization
@@ -373,18 +369,6 @@ def _run_config(args, rules_text: str) -> RunConfig:
     )
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("FCPD_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidConfigError(f"FCPD_SEED must be an integer, got {env!r}") from None
-
-
 def _cmd_segment(args) -> int:
     plot_dir = _plot_dir(args)
     series = _load_series(args)
@@ -443,15 +427,15 @@ def _cmd_query(args) -> int:
 def _cmd_cluster(args) -> int:
     series = _load_series(args)
     # kmeans_segments checks these too, but only once the series is segmented.
-    seed = check_int("seed", _resolve_seed(args), 0)
+    seed = check_int("seed", args.seed, 0)
     k = check_int("k", args.clusters, 1)
     config = _segmentation_from_args(args)
-    if config.degree < max(_CLUSTER_PAIR):
+    if config.degree < max(CLUSTER_PAIR):
         raise InvalidConfigError(
-            f"--degree must be >= {max(_CLUSTER_PAIR)} for cluster, got {config.degree}"
+            f"--degree must be >= {max(CLUSTER_PAIR)} for cluster, got {config.degree}"
         )
     segmentation = segment_series(series, config)
-    result = kmeans_segments(segmentation, k=k, seed=seed, feature_pair=_CLUSTER_PAIR)
+    result = kmeans_segments(segmentation, k=k, seed=seed)
     members = [
         (segmentation.segments[index], cluster, index in result.representatives)
         for index, cluster in zip(result.segment_indices, result.assignments)
@@ -480,10 +464,10 @@ def _cmd_cluster(args) -> int:
             "excluded": list(result.excluded),
             "inertia": result.inertia,
         },
-        ["index", "start", "end", "length", *_alpha_header(_CLUSTER_PAIR),
+        ["index", "start", "end", "length", *_alpha_header(CLUSTER_PAIR),
          "cluster", "representative"],
         [
-            [s.index, s.start, s.end, s.length, *(s.alpha.alpha[k] for k in _CLUSTER_PAIR),
+            [s.index, s.start, s.end, s.length, *(s.alpha.alpha[k] for k in CLUSTER_PAIR),
              cluster, representative]
             for s, cluster, representative in members
         ],
@@ -552,9 +536,7 @@ def _cmd_generate(args) -> int:
             f"--length {args.length} is too short for the default anomaly intervals:"
             f" give --length {shortest} or more, or --no-anomalies"
         )
-    series = generate_cycle(
-        n=args.length, period=args.period, seed=_resolve_seed(args), anomalies=anomalies
-    )
+    series = generate_cycle(n=args.length, period=args.period, seed=args.seed, anomalies=anomalies)
     for value in series:
         sys.stdout.write(f"{_fmt(value)}\n")
     return EXIT_OK
@@ -638,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster = sub.add_parser("cluster", help="k-means over segment slope/curvature")
     p_cluster.add_argument("input", help="series CSV path, or - for stdin")
     p_cluster.add_argument("--clusters", type=int, default=4)
-    p_cluster.add_argument("--seed", type=int, default=None)
+    p_cluster.add_argument("--seed", type=int, default=0)
     _add_segmentation_flags(p_cluster)
     _add_output_flags(p_cluster)
     p_cluster.set_defaults(func=_cmd_cluster)
@@ -653,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="emit a seeded synthetic cyclic series")
     p_gen.add_argument("--length", type=int, default=2000)
     p_gen.add_argument("--period", type=float, default=200.0)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--no-anomalies", action="store_true")
     p_gen.set_defaults(func=_cmd_generate)
 

@@ -114,20 +114,6 @@ def test_kmeans_input_validation():
         kmeans_points([[0.0, float("nan")]], 1, seed=0)
 
 
-@pytest.mark.parametrize("max_iter", [0, -1, 1.5, 2.0, True, None])
-def test_kmeans_rejects_a_max_iter_below_one_or_not_an_integer(max_iter):
-    # With no Lloyd step every label would stay -1, a wrong result and no error.
-    pts = [[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 6.0]]
-    with pytest.raises(InvalidConfigError, match="max_iter"):
-        kmeans_points(pts, 2, seed=0, max_iter=max_iter)
-
-
-def test_kmeans_with_one_iteration_labels_every_point():
-    labels, _, _, _ = kmeans_points([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 6.0]], 2, seed=0,
-                                    max_iter=1)
-    assert sorted(set(labels.tolist())) == [0, 1]
-
-
 @pytest.mark.parametrize(
     "points",
     [[[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]], [[1.7e308, 1.7e308]] * 3],
@@ -173,11 +159,11 @@ def test_segment_clustering_validation():
     tail = Segment(index=0, start=0, end=1, alpha=None, closed_by=ClosedBy.END_OF_STREAM)
     with pytest.raises(InvalidDataError):
         kmeans_segments([tail], k=1, seed=0)
-    seg = _coeff_segment(0, 1.0, 0.0)
-    with pytest.raises(InvalidConfigError):
-        kmeans_segments([seg], k=1, seed=0, feature_pair=(1, 3))
-    with pytest.raises(InvalidConfigError):
-        kmeans_segments([seg], k=1, seed=0, feature_pair=(-1, 2))
+    # Clustering reads the curvature, which a degree-1 fit does not have.
+    line = ShapeVector(alpha=np.array([0.0, 1.0]), window_len=9, degree=1)
+    seg = Segment(index=0, start=0, end=8, alpha=line, closed_by=ClosedBy.DPU)
+    with pytest.raises(InvalidConfigError, match="fit degree >= 2"):
+        kmeans_segments([seg], k=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +195,6 @@ def test_sensitivity_validation():
         sensitivity_bounds([])
     with pytest.raises(InvalidDataError):
         sensitivity_bounds([0.2, float("nan")])
-    with pytest.raises(InvalidConfigError):
-        sensitivity_bounds([0.2], top_n=0)
-
-
-@pytest.mark.parametrize("top_n", [0, -2, 1.5, 2.0, True, None, "3"])
-def test_sensitivity_rejects_a_top_n_below_one_or_not_an_integer(top_n):
-    # top_n=True would slice like 1, top_n=1.5 would fail inside the slice.
-    with pytest.raises(InvalidConfigError, match="top_n"):
-        sensitivity_bounds([0.9, 0.5, 0.1], top_n=top_n)
 
 
 def test_aggregate_sensitivity_averages_reports():

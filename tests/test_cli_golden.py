@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 import shutil
 import sys
 import tempfile
@@ -168,8 +167,7 @@ def _stored(name: str) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("FCPD_SEED", raising=False)
+def test_cli_output_matches_golden(name, tmp_path):
     write_inputs(tmp_path)
     actual = run_case(name, tmp_path)
     expected = _stored(name)
@@ -179,7 +177,6 @@ def test_cli_output_matches_golden(name, tmp_path, monkeypatch):
 
 
 def regenerate() -> None:
-    os.environ.pop("FCPD_SEED", None)
     shutil.rmtree(GOLDEN, ignore_errors=True)
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:

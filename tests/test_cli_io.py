@@ -622,24 +622,21 @@ def test_cli_cluster_too_many_clusters(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, env, message",
+    "flags, message",
     [
-        (["--clusters", "0"], None, "k must be an integer >= 1, got 0"),
-        (["--seed", "-1"], None, "seed must be an integer >= 0, got -1"),
-        ([], "-1", "seed must be an integer >= 0, got -1"),
-        (["--degree", "1"], None, "--degree must be >= 2 for cluster, got 1"),
-        (["--degree", "0"], None, "--degree must be >= 2 for cluster, got 0"),
+        (["--clusters", "0"], "k must be an integer >= 1, got 0"),
+        (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["--degree", "1"], "--degree must be >= 2 for cluster, got 1"),
+        (["--degree", "0"], "--degree must be >= 2 for cluster, got 0"),
     ],
 )
 def test_cli_cluster_checks_its_options_before_segmenting(
-    tmp_path, capsys, monkeypatch, flags, env, message
+    tmp_path, capsys, monkeypatch, flags, message
 ):
     def unreachable(*args, **kwargs):
         raise AssertionError("segmented before the options were checked")
 
     monkeypatch.setattr("fcpd.cli_io.segment_series", unreachable)
-    if env is not None:
-        monkeypatch.setenv("FCPD_SEED", env)
     series_path = _write_series(tmp_path, [0.0] * 12 + [5.0] * 12)
     argv = ["cluster", series_path, "--degree", "2", "--th-dpu", "0.5", *flags]
     assert _run(capsys, argv) == (2, "", f"error: {message}\n")
@@ -727,32 +724,30 @@ def test_cli_generate_names_the_length_the_default_anomalies_need(capsys):
         )
 
 
-def test_cli_generate_seed_flag_and_env(capsys, monkeypatch):
-    _, by_flag, _ = _run(capsys, ["generate", "--length", "32", "--period", "8",
-                                  "--no-anomalies", "--seed", "123"])
-    monkeypatch.setenv("FCPD_SEED", "123")
-    _, by_env, _ = _run(capsys, ["generate", "--length", "32", "--period", "8",
-                                 "--no-anomalies"])
-    assert by_flag == by_env
+def test_cli_generate_seed_defaults_to_zero(capsys):
+    argv = ["generate", "--length", "1601"]
+    default = _run(capsys, argv)
+    assert default == _run(capsys, [*argv, "--seed", "0"])
+    assert default[1] != _run(capsys, [*argv, "--seed", "1"])[1]
 
 
-def test_cli_invalid_seed_env_is_a_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FCPD_SEED", "not-a-seed")
-    code, _, err = _run(capsys, ["generate", "--length", "32", "--no-anomalies"])
-    assert code == 2
-    assert "FCPD_SEED" in err
-
-
-@pytest.mark.parametrize("command", ["segment", "query", "sensitivity"])
-def test_cli_seed_env_is_ignored_where_nothing_is_random(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("FCPD_SEED", "not-a-seed")
-    argv = [command, _write_series(tmp_path, _step_series()), "--degree", "1", "--th-dpu", "0.5"]
-    if command != "segment":
+@pytest.mark.parametrize("command", ["segment", "query", "cluster", "sensitivity", "generate"])
+def test_cli_ignores_fcpd_seed(tmp_path, capsys, monkeypatch, command):
+    if command == "generate":
+        argv = ["generate", "--length", "1601"]
+    else:
+        argv = [command, _write_series(tmp_path, _step_series()), "--degree", "2", "--th-dpu",
+                "0.5"]
+    if command == "cluster":
+        argv += ["--clusters", "2"]
+    if command in ("query", "sensitivity"):
         argv += ["--rules", _write_rules(tmp_path, STEP_RULES)]
-    code, out, err = _run(capsys, argv)
-    assert code == 0
-    assert out
-    assert err == ""
+    expected = _run(capsys, argv)
+    monkeypatch.setenv("FCPD_SEED", "not-a-seed")
+    assert _run(capsys, argv) == expected
+    monkeypatch.setenv("FCPD_SEED", "1")
+    assert _run(capsys, argv) == expected
+    assert expected[0] == 0 and expected[1] and expected[2] == ""
 
 
 def test_cli_offsets_golden(tmp_path, capsys):

@@ -27,7 +27,6 @@ from fcpd import (
     fit,
     generate_cycle,
     kmeans_points,
-    kmeans_segments,
     mf_eval,
     parse,
     resolve_feature_name,
@@ -69,10 +68,6 @@ INTEGER_OPTIONS = [
     ("k", lambda v: kmeans_points(POINTS, v, seed=0), 2, False),
     ("seed", lambda v: kmeans_points(POINTS, 2, seed=v), 7, False),
     ("n_init", lambda v: kmeans_points(POINTS, 2, seed=0, n_init=v), 2, False),
-    ("max_iter", lambda v: kmeans_points(POINTS, 2, seed=0, max_iter=v), 5, False),
-    ("n_init", lambda v: kmeans_segments(SEGMENTS, 2, seed=0, n_init=v), 2, False),
-    ("feature_pair entry", lambda v: kmeans_segments(SEGMENTS, 2, 0, (v, 2)), 1, False),
-    ("top_n", lambda v: sensitivity_bounds([0.1, 0.5, 0.9], top_n=v), 2, False),
     ("segment_count", lambda v: sensitivity_bounds([0.1, 0.5, 0.9], segment_count=v), 5, True),
     ("n", lambda v: generate_cycle(n=v, anomalies=()), 50, False),
     ("seed", lambda v: generate_cycle(n=50, seed=v, anomalies=()), 7, False),
