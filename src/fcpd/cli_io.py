@@ -92,8 +92,8 @@ def _read_text(source, error=InvalidDataError, label: str = "") -> str:
 
 
 def _lines(text: str):
-    """(line number, stripped line) of each non-blank line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """(line number, stripped line) of each non-blank line; only a newline ends a line."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line:
             yield lineno, line

@@ -220,8 +220,10 @@ def _atoms(expr: Expr):
         node = stack.pop()
         if isinstance(node, Atom):
             yield node
-        else:
+        elif isinstance(node, (And, Or)):
             stack.extend((node.right, node.left))
+        else:
+            raise TypeError(f"unknown antecedent node {node!r}")
 
 
 @dataclass(frozen=True)
@@ -325,9 +327,8 @@ def _eval_expr(expr: Expr, inputs: Mapping[str, tuple[LinguisticVariable, float]
         return 1.0 - degree if expr.negated else degree
     if isinstance(expr, And):
         return min(_eval_expr(expr.left, inputs), _eval_expr(expr.right, inputs))
-    if isinstance(expr, Or):
-        return max(_eval_expr(expr.left, inputs), _eval_expr(expr.right, inputs))
-    raise InvalidConfigError(f"unknown antecedent node {expr!r}")
+    # An Or: FisConfig has checked that no other node is in a rule.
+    return max(_eval_expr(expr.left, inputs), _eval_expr(expr.right, inputs))
 
 
 def infer(fis: FisConfig, values: Mapping[str, float]) -> InferenceResult:

@@ -362,7 +362,7 @@ class _Parser:
                     value_tok.line,
                     value_tok.col,
                 )
-            self.options[name] = value_tok.value
+            self.options[name] = int(value_tok.value)
         elif name in _FIXED_OPTIONS:
             if value_tok.kind != "ident" or value_tok.text != _FIXED_OPTIONS[name]:
                 raise DslValueError(
@@ -430,7 +430,7 @@ def _expr_text(expr: Expr) -> str:
         if isinstance(expr.right, Or):
             right = f"({right})"
         return f"{left} or {right}"
-    raise InvalidConfigError(f"unknown antecedent node {expr!r}")
+    raise TypeError(f"unknown antecedent node {expr!r}")
 
 
 def print_document(doc: QueryDocument) -> str:
@@ -489,7 +489,7 @@ def to_fis(doc: QueryDocument) -> FisConfig:
     if output is None:
         raise UnknownReferenceError(f"variable {output_name!r} is not declared", 1, 1)
     inputs = tuple(v for v in doc.variables if v.name != output_name)
-    resolution = int(doc.options.get("resolution", FisConfig.resolution))
+    resolution = doc.options.get("resolution", FisConfig.resolution)
     try:
         return FisConfig(inputs=inputs, output=output, rules=doc.rules, resolution=resolution)
     except InvalidConfigError as exc:

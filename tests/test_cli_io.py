@@ -812,6 +812,20 @@ def test_cli_offsets_ignores_a_leading_byte_order_mark(tmp_path, capsys):
     assert json.loads(out)["pairs"] == [[10.0, 13.0], [20.0, 21.0]]
 
 
+# str.splitlines() would also break at these; a CSV or boundary line ends at "\n" only.
+@pytest.mark.parametrize("command", ["segment", "offsets"])
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_cli_lines_end_only_at_a_newline(tmp_path, capsys, command, separator):
+    path = tmp_path / "in.txt"
+    path.write_text(f"1\n2{separator}3\nfoo\n", encoding="utf-8")
+    if command == "segment":
+        argv, what = ["segment", str(path), "--th-dpu", "1"], "value"
+    else:
+        argv, what = ["offsets", str(path), str(path)], "index"
+    message = f"error: line 2: {what} {'2' + separator + '3'!r} is not a number\n"
+    assert _run(capsys, argv) == (3, "", message)
+
+
 def test_python_dash_m_fcpd_runs_the_cli(tmp_path):
     src = str(Path(cli_io.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

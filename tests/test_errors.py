@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from fcpd import (
+    And,
     Atom,
     FcpdError,
+    FisConfig,
     InvalidConfigError,
     InvalidDataError,
     LevelShift,
     NoiseBurst,
+    QueryDocument,
     Rule,
     RunConfig,
     SegmentationConfig,
@@ -29,6 +32,7 @@ from fcpd import (
     kmeans_points,
     mf_eval,
     parse,
+    print_document,
     resolve_feature_name,
     segment_series,
     sensitivity_bounds,
@@ -216,3 +220,21 @@ def test_a_wrong_type_is_a_type_error_and_a_wrong_value_an_fcpd_error(wrong_type
         wrong_type()
     with pytest.raises(FcpdError):
         wrong_value()
+
+
+BOGUS_RULE = Rule(And(Atom("average", "zero"), "average is zero"), "score", "high")
+BOGUS_DOCUMENT = QueryDocument((*FIS.inputs, FIS.output), (BOGUS_RULE,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FisConfig(FIS.inputs, FIS.output, (BOGUS_RULE,)),
+        lambda: to_fis(BOGUS_DOCUMENT),
+        lambda: print_document(BOGUS_DOCUMENT),
+    ],
+    ids=["FisConfig", "to_fis", "print_document"],
+)
+def test_an_antecedent_node_of_a_wrong_type_is_a_type_error(call):
+    with pytest.raises(TypeError, match="^unknown antecedent node 'average is zero'$"):
+        call()

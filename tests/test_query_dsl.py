@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,18 @@ def test_to_fis_defaults_the_resolution():
         + "IF (x is s), THEN (score is high)\n"
     )
     assert to_fis(doc).resolution == 1001
+
+
+@pytest.mark.parametrize("resolution", [2.7, "abc", 1e400, 1])
+def test_to_fis_checks_a_resolution_set_in_python(resolution):
+    # FisConfig checks the resolution; to_fis passes it on unconverted.
+    doc = parse(
+        "var x [0, 1] { s: smf(0, 1) }\n" + SCORE_VAR + "IF (x is s), THEN (score is high)\n"
+    )
+    doc = QueryDocument(doc.variables, doc.rules, {"resolution": resolution})
+    message = f"resolution must be an integer >= 2, got {resolution!r}"
+    with pytest.raises(DslValueError, match=re.escape(message)):
+        to_fis(doc)
 
 
 def test_to_fis_rejects_ruleless_and_split_consequents():
