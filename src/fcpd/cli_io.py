@@ -78,7 +78,8 @@ def _parse_number(text: str, lineno: int, what: str) -> float:
 
 def _read_text(source, error=InvalidDataError, label: str = "") -> str:
     """The text of an open file or a path, past one leading byte-order mark.  Bytes
-    decode as UTF-8 with ``surrogateescape`` and universal newlines, whatever the locale."""
+    decode as UTF-8 with ``surrogateescape``, whatever the locale.  Bytes and text
+    both get universal newlines: CR LF and a lone CR become LF."""
     if hasattr(source, "read"):
         data = source.read()
     else:
@@ -88,6 +89,8 @@ def _read_text(source, error=InvalidDataError, label: str = "") -> str:
             raise error(f"cannot read {label}{source}: {exc}") from None
     if isinstance(data, bytes):
         data = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape").read()
+    else:
+        data = io.StringIO(data, newline=None).read()
     return data.removeprefix("\ufeff")
 
 

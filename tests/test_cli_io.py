@@ -107,6 +107,14 @@ def test_ingest_tolerates_blank_lines_and_spaces():
     assert np.array_equal(ingest(io.StringIO("\n 0 , 1 \n\n1, 2\n\n")), [1.0, 2.0])
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_ingest_ends_a_line_at_cr_lf_or_cr_in_bytes_and_text(tmp_path, end):
+    path = tmp_path / "series.csv"
+    path.write_bytes(f"t,y{end}0,1{end}1,2{end}".encode())
+    for source in (str(path), io.StringIO(f"t,y{end}0,1{end}1,2{end}", newline="")):
+        assert ingest(source).tolist() == [1.0, 2.0], source
+
+
 def test_ingest_from_path_and_stdin(tmp_path, monkeypatch):
     path = _write_series(tmp_path, [3.0, 4.0])
     assert np.array_equal(ingest(path), [3.0, 4.0])
